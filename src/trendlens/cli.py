@@ -9,6 +9,8 @@ stopword curation required, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import logging
 import os
 import sys
@@ -16,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import load_corpus, save_corpus, filter_corpus
-from .embedding import TrainConfig, load_model, save_model, train
+from .embedding import load_model, save_model, train
 from .keywords import (
     FileEmbedder,
     ReferenceEmbedder,
@@ -25,8 +27,13 @@ from .keywords import (
     save_extractions,
 )
 from .pipeline import (
+    _TRAIN_TYPES,
     CurationRequired,
     PipelineStageError,
+    _load_stopwords,
+    _prep_streams,
+    _safe_name,
+    _train_config,
     analyze_extractions,
     resolve_config,
     run_pipeline,
@@ -34,15 +41,7 @@ from .pipeline import (
 )
 from .query import parse_query
 from .svgplot import emit_scatter_svg
-from .textprep import (
-    TokenStream,
-    filter_stopwords,
-    load_base_stopwords,
-    load_stopword_list,
-    load_token_streams,
-    save_token_streams,
-    tokenize,
-)
+from .textprep import TokenStream, load_token_streams, save_token_streams
 from .trends import ProjectedPoint, generate_stopword_candidates, save_candidates
 
 log = logging.getLogger("trendlens")
@@ -74,59 +73,26 @@ def _add_stopword_flags(parser):
     )
 
 
-def _add_train_flags(parser, none_defaults: bool = False):
-    # none_defaults lets a config file supply values that flags then override
-    d = TrainConfig() if not none_defaults else None
-    parser.add_argument("--dim", type=int, default=d.dim if d else None)
-    parser.add_argument("--window", type=int, default=d.window if d else None)
-    parser.add_argument("--epochs", type=int, default=d.epochs if d else None)
-    parser.add_argument("--learning-rate", type=float, default=d.learning_rate if d else None)
-    parser.add_argument("--min-count", type=int, default=d.min_count if d else None)
-    parser.add_argument(
-        "--mode", choices=("negative_sampling", "full_softmax"), default=d.mode if d else None
-    )
-    parser.add_argument("--negatives", type=int, default=d.negatives if d else None)
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default: $TRENDLENS_SEED or 1)")
-    parser.add_argument("--full-softmax-cap", type=int, default=d.full_softmax_cap if d else None)
-    parser.add_argument(
-        "--workers", type=int, default=1 if d else None, help=">1 trades determinism for speed"
-    )
+def _add_train_flags(parser):
+    # unset flags stay None, so TrainConfig or a pipeline config supplies them
+    parser.add_argument("--dim", type=int)
+    parser.add_argument("--window", type=int)
+    parser.add_argument("--epochs", type=int)
+    parser.add_argument("--learning-rate", type=float)
+    parser.add_argument("--min-count", type=int)
+    parser.add_argument("--mode", choices=("negative_sampling", "full_softmax"))
+    parser.add_argument("--negatives", type=int)
+    parser.add_argument("--seed", type=int, help="RNG seed (default: $TRENDLENS_SEED or 1)")
+    parser.add_argument("--full-softmax-cap", type=int)
 
 
-def _seed_or_default(value) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("TRENDLENS_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"TRENDLENS_SEED must be an integer, got {env!r}") from None
-    return TrainConfig().seed
+def _train_flags(args) -> dict:
+    """The training flags given on the command line, keyed by TrainConfig field."""
+    return {k: getattr(args, k) for k in _TRAIN_TYPES if getattr(args, k) is not None}
 
 
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        dim=args.dim,
-        window=args.window,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        min_count=args.min_count,
-        mode=args.mode,
-        negatives=args.negatives,
-        seed=_seed_or_default(args.seed),
-        full_softmax_cap=args.full_softmax_cap,
-    )
-
-
-def _load_stopword_lists(args):
-    base = (
-        load_stopword_list(args.base_stopwords, "base")
-        if args.base_stopwords
-        else load_base_stopwords()
-    )
-    extras = [load_stopword_list(path, "curated") for path in args.extra_stopwords]
-    return base, extras
+def _flag_train_config(args):
+    return _train_config(_train_flags(args), os.environ.get("TRENDLENS_SEED"), "flags")
 
 
 def _read_query(args) -> str | None:
@@ -140,25 +106,21 @@ def _read_query(args) -> str | None:
 def _input_streams(args) -> list[TokenStream]:
     """Token streams from either a corpus file or a tokens JSONL file.
 
-    The kind is sniffed from the first record: corpus records carry an
-    'abstract' key, token records carry 'tokens'.  Corpus input is
-    tokenized and stopword-filtered here; token input is used as is.
+    The kind comes from the first record: a JSON object with exactly the
+    keys 'id' and 'tokens' marks a tokens file, which is used as is.
+    Anything else is read as a corpus, then tokenized and stopword-filtered.
     """
-    path = Path(args.input)
-    first = ""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                first = line
-                break
-    if '"tokens"' in first and '"abstract"' not in first:
-        return load_token_streams(path)
-    corpus = load_corpus(path, getattr(args, "format", None))
-    base, extras = _load_stopword_lists(args)
-    return [
-        filter_stopwords(TokenStream(d.id, tuple(tokenize(d.abstract))), base, *extras)
-        for d in corpus
-    ]
+    with open(args.input, encoding="utf-8") as fh:
+        first = next((line for line in fh if line.strip()), "")
+    try:
+        record = json.loads(first)
+    except ValueError:
+        record = None
+    if isinstance(record, dict) and set(record) == {"id", "tokens"}:
+        return load_token_streams(args.input)
+    corpus = load_corpus(args.input, getattr(args, "format", None))
+    base, extras = _load_stopwords(args.base_stopwords, args.extra_stopwords)
+    return _prep_streams(corpus, base, *extras)
 
 
 def cmd_ingest(args) -> int:
@@ -167,12 +129,8 @@ def cmd_ingest(args) -> int:
     if args.out:
         save_corpus(corpus, args.out)
     if args.tokens_out:
-        base, extras = _load_stopword_lists(args)
-        streams = [
-            filter_stopwords(TokenStream(d.id, tuple(tokenize(d.abstract))), base, *extras)
-            for d in corpus
-        ]
-        save_token_streams(streams, args.tokens_out)
+        base, extras = _load_stopwords(args.base_stopwords, args.extra_stopwords)
+        save_token_streams(_prep_streams(corpus, base, *extras), args.tokens_out)
     return EXIT_OK
 
 
@@ -188,18 +146,11 @@ def cmd_query(args) -> int:
 
 def cmd_stopwords(args) -> int:
     corpus = load_corpus(args.input, args.format)
-    base = (
-        load_stopword_list(args.base_stopwords, "base")
-        if args.base_stopwords
-        else load_base_stopwords()
-    )
+    base, _ = _load_stopwords(args.base_stopwords, ())
     if args.model:
         model = load_model(args.model)
     else:
-        streams = [
-            filter_stopwords(TokenStream(d.id, tuple(tokenize(d.abstract))), base) for d in corpus
-        ]
-        model = train(streams, _train_config(args), workers=args.workers)
+        model = train(_prep_streams(corpus, base), _flag_train_config(args))
     candidates = generate_stopword_candidates(
         corpus, ReferenceEmbedder(model), base, args.top_k, args.top_n
     )
@@ -210,7 +161,7 @@ def cmd_stopwords(args) -> int:
 
 def cmd_train(args) -> int:
     streams = _input_streams(args)
-    model = train(streams, _train_config(args), workers=args.workers)
+    model = train(streams, _flag_train_config(args))
     save_model(model, args.out, full=args.full)
     log.info("trained %d-word, %d-d model -> %s", len(model.vocab), model.dim, args.out)
     return EXIT_OK
@@ -264,18 +215,24 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    import csv as _csv
-
     by_industry: dict[str, tuple[list[ProjectedPoint], dict[str, int]]] = {}
     with open(args.projection, encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["industry", "keyword", "x", "y", "cluster_id"]:
-            raise ValueError(f"{args.projection}: expected header industry,keyword,x,y,cluster_id")
-        for industry, keyword, x, y, cluster_id in reader:
+            raise ValueError(f"{args.projection}:1: expected header industry,keyword,x,y,cluster_id")
+        for row in reader:
+            where = f"{args.projection}:{reader.line_num}"
+            if len(row) != 5:
+                raise ValueError(f"{where}: expected 5 fields, got {len(row)}")
+            industry, keyword, x, y, cluster_id = row
+            try:
+                xy, label = (float(x), float(y)), int(cluster_id)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             points, labels = by_industry.setdefault(industry, ([], {}))
-            points.append(ProjectedPoint(keyword, None, (float(x), float(y))))
-            labels[keyword] = int(cluster_id)
+            points.append(ProjectedPoint(keyword, None, xy))
+            labels[keyword] = label
     if not by_industry:
         # a header-only projection is what the pipeline emits when every
         # industry was too small to project; succeeding with no plots keeps
@@ -285,8 +242,7 @@ def cmd_plot(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for industry, (points, labels) in sorted(by_industry.items()):
-        name = "".join(ch if ch.isalnum() else "_" for ch in industry.lower())
-        emit_scatter_svg(points, labels, out_dir / f"scatter_{name}.svg")
+        emit_scatter_svg(points, labels, out_dir / f"scatter_{_safe_name(industry)}.svg")
     log.info("wrote %d plot(s) to %s", len(by_industry), out_dir)
     return EXIT_OK
 
@@ -304,16 +260,7 @@ def cmd_pipeline(args) -> int:
         "cluster_threshold": args.cluster_threshold,
         "anchors": _parse_anchor_flags(args.anchor) or None,
         "out_dir": args.out_dir,
-        "workers": args.workers,
-        "dim": args.dim,
-        "window": args.window,
-        "epochs": args.epochs,
-        "learning_rate": args.learning_rate,
-        "min_count": args.min_count,
-        "mode": args.mode,
-        "negatives": args.negatives,
-        "seed": args.seed,
-        "full_softmax_cap": args.full_softmax_cap,
+        **_train_flags(args),
     }
     config = resolve_config(args.config, overrides, os.environ.get("TRENDLENS_SEED"))
     run_pipeline(config)
@@ -403,7 +350,7 @@ def build_parser() -> _Parser:
     p.add_argument("--anchor", action="append", default=[], metavar="INDUSTRY=TOKEN")
     p.add_argument("--out-dir", metavar="DIR")
     _add_stopword_flags(p)
-    _add_train_flags(p, none_defaults=True)
+    _add_train_flags(p)
     p.set_defaults(handler=cmd_pipeline)
     return parser
 

@@ -12,15 +12,12 @@ negative log probability of the observed context word under either
 * ``negative_sampling``: the k-negative logistic surrogate, with negative
   words drawn from the unigram^0.75 distribution.
 
-Deterministic (single-worker) training is reproducible bit for bit from
-the seed; the optional multi-worker mode trades that for speed by letting
-workers race on row updates.
+Training is reproducible bit for bit from the seed.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -178,15 +175,12 @@ def build_vocab(streams: Iterable[TokenStream], min_count: int) -> Vocabulary:
     return Vocabulary(tuple(words), tuple(kept_counts))
 
 
-def generate_pairs(
-    stream: TokenStream, vocab: Vocabulary, window: int, seed: int = 0
-) -> list[ContextPair]:
+def generate_pairs(stream: TokenStream, vocab: Vocabulary, window: int) -> list[ContextPair]:
     """Enumerate (center, context) index pairs within a fixed window.
 
     Out-of-vocabulary tokens are removed before windowing, so surviving
     neighbors see each other across the gap.  The window is fixed width,
-    so the enumeration is deterministic; ``seed`` is accepted for call
-    site compatibility with sampled-window variants and is unused.
+    so the enumeration is deterministic.
     """
     if window < 1:
         raise ValueError("window must be positive")
@@ -336,20 +330,15 @@ def _all_pairs(streams: Sequence[TokenStream], vocab: Vocabulary, window: int) -
     return np.asarray(pairs, dtype=np.intp)
 
 
-def train(
-    streams: Sequence[TokenStream], config: TrainConfig, workers: int = 1
-) -> EmbeddingModel:
+def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel:
     """Train a skip-gram model over tokenized streams.
 
     Input vectors start uniform in [-0.5/D, +0.5/D] from the seed, output
     vectors start at zero.  Each epoch shuffles all pairs (seeded) and the
-    learning rate decays linearly to 1e-4 of its initial value.  With
-    ``workers=1`` the run is fully deterministic; with more workers the
-    pair stream is sharded and row updates race (results vary run to run).
+    learning rate decays linearly to 1e-4 of its initial value.  The run
+    is fully deterministic.
     """
     config.validate()
-    if workers < 1:
-        raise ValueError("workers must be positive")
     streams = list(streams)
     if not streams:
         raise ValueError("no token streams to train on")
@@ -377,10 +366,7 @@ def train(
         return model
 
     sampler = UnigramSampler(vocab.counts) if config.mode == "negative_sampling" else None
-    if workers == 1:
-        _train_sequential(model, pairs, config, rng, sampler, total_steps)
-    else:
-        _train_parallel(model, pairs, config, rng, sampler, total_steps, workers)
+    _train_sequential(model, pairs, config, rng, sampler, total_steps)
     if not (np.all(np.isfinite(model.input_vectors)) and np.all(np.isfinite(model.output_vectors))):
         raise TrainingDiverged(config.epochs - 1, total_steps - 1)
     return model
@@ -404,42 +390,6 @@ def _train_sequential(model, pairs, config, rng, sampler, total_steps) -> None:
                 raise TrainingDiverged(epoch, step)
             _apply(model, grads, _lr_at(config, step, total_steps))
             step += 1
-
-
-def _train_parallel(model, pairs, config, rng, sampler, total_steps, workers) -> None:
-    failures: list[TrainingDiverged] = []
-
-    def run_shard(shard: np.ndarray, shard_rng: np.random.Generator, epoch: int, offset: int):
-        for local, idx in enumerate(shard):
-            pair = ContextPair(int(pairs[idx, 0]), int(pairs[idx, 1]))
-            negatives = (
-                sampler.draw(shard_rng, config.negatives, pair.context)
-                if sampler is not None
-                else None
-            )
-            loss, grads = pair_loss_and_gradients(model, pair, negatives)
-            if not math.isfinite(loss):
-                failures.append(TrainingDiverged(epoch, offset + local))
-                return
-            _apply(model, grads, _lr_at(config, offset + local, total_steps))
-
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(pairs))
-        shards = np.array_split(order, workers)
-        offset = epoch * len(pairs)
-        threads = []
-        for w, shard in enumerate(shards):
-            shard_rng = np.random.default_rng([config.seed, epoch, w])
-            threads.append(
-                threading.Thread(target=run_shard, args=(shard, shard_rng, epoch, offset))
-            )
-            offset += len(shard)
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if failures:
-            raise failures[0]
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -15,7 +15,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .corpus import Corpus, load_corpus, filter_corpus
 from .embedding import EmbeddingModel, TrainConfig, cosine_similarity, load_model, save_model, train
@@ -23,6 +23,7 @@ from .keywords import ExtractionResult, ReferenceEmbedder, extract_keywords, sav
 from .query import parse_query
 from .svgplot import emit_scatter_svg
 from .textprep import (
+    StopwordList,
     TokenStream,
     filter_stopwords,
     load_base_stopwords,
@@ -92,7 +93,6 @@ class PipelineConfig:
     cluster_threshold: float = 1.0
     anchors: dict[str, str] = field(default_factory=dict)
     out_dir: str = "trendlens-out"
-    workers: int = 1
 
     def to_json(self) -> str:
         data = dataclasses.asdict(self)
@@ -100,7 +100,7 @@ class PipelineConfig:
         return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
+_TRAIN_TYPES = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
 _TOP_KEYS = {
     "corpus",
     "format",
@@ -113,8 +113,53 @@ _TOP_KEYS = {
     "cluster_threshold",
     "anchors",
     "out_dir",
-    "workers",
 }
+
+
+def _train_config(values: dict[str, Any], env_seed: str | None, source: str) -> TrainConfig:
+    """The TrainConfig for explicit ``values`` (defaults fill the rest).
+
+    TRENDLENS_SEED (``env_seed``) supplies the seed when ``values`` has
+    none.  A value of the wrong type is reported with its key and
+    ``source``.
+    """
+    values = dict(values)
+    if "seed" not in values and env_seed is not None:
+        try:
+            values["seed"] = int(env_seed)
+        except ValueError:
+            raise ValueError(f"TRENDLENS_SEED must be an integer, got {env_seed!r}") from None
+    for key, value in values.items():
+        expected = _TRAIN_TYPES[key]
+        allowed = (int, float) if expected is float else expected
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(
+                f"{source}: {key!r} must be of type {expected.__name__}, got {value!r}"
+            )
+    config = TrainConfig(**values)
+    config.validate()
+    return config
+
+
+def _load_stopwords(
+    base_path: str | None, extra_paths: Iterable[str]
+) -> tuple[StopwordList, list[StopwordList]]:
+    """The base list (bundled when ``base_path`` is None) and the curated lists."""
+    base = load_stopword_list(base_path, "base") if base_path else load_base_stopwords()
+    return base, [load_stopword_list(path, "curated") for path in extra_paths]
+
+
+def _prep_streams(corpus: Corpus, *stopwords: StopwordList) -> list[TokenStream]:
+    """Tokenize each document's abstract and drop its stopwords, in one pass.
+
+    Kept private so that the perfbench tracer, which wraps public
+    functions only, still sees tokenize and filter_stopwords as called by
+    run_pipeline or the CLI handler and counts them as the text stage.
+    """
+    return [
+        filter_stopwords(TokenStream(d.id, tuple(tokenize(d.abstract))), *stopwords)
+        for d in corpus
+    ]
 
 
 def resolve_config(
@@ -138,7 +183,7 @@ def resolve_config(
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ValueError(f"{config_path}: config must be a JSON object")
-        unknown = set(file_values) - _TOP_KEYS - _TRAIN_KEYS
+        unknown = set(file_values) - _TOP_KEYS - _TRAIN_TYPES.keys()
         if unknown:
             raise ValueError(f"{config_path}: unknown config key(s): {', '.join(sorted(unknown))}")
 
@@ -146,12 +191,6 @@ def resolve_config(
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
-
-    if "seed" not in merged and env_seed is not None:
-        try:
-            merged["seed"] = int(env_seed)
-        except ValueError:
-            raise ValueError(f"TRENDLENS_SEED must be an integer, got {env_seed!r}") from None
 
     if "corpus" not in merged:
         raise ValueError("config is missing the 'corpus' path")
@@ -165,7 +204,7 @@ def resolve_config(
             return str(base_dir / value)
         return value
 
-    train_kwargs = {k: merged[k] for k in _TRAIN_KEYS if k in merged}
+    train_values = {k: merged[k] for k in _TRAIN_TYPES if k in merged}
     config = PipelineConfig(
         corpus=_resolve_path("corpus", merged["corpus"]),
         format=merged.get("format"),
@@ -179,15 +218,13 @@ def resolve_config(
             _resolve_path("extra_stopwords", p) for p in merged.get("extra_stopwords", ())
         ),
         model=_resolve_path("model", merged["model"]) if merged.get("model") else None,
-        train=TrainConfig(**train_kwargs),
+        train=_train_config(train_values, env_seed, str(config_path or "config")),
         top_n=int(merged.get("top_n", 5)),
         top_percent=float(merged.get("top_percent", 5.0)),
         cluster_threshold=float(merged.get("cluster_threshold", 1.0)),
         anchors=dict(merged.get("anchors", {})),
         out_dir=str(merged.get("out_dir", "trendlens-out")),
-        workers=int(merged.get("workers", 1)),
     )
-    config.train.validate()
     return config
 
 
@@ -437,28 +474,18 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
         if len(corpus) == 0:
             raise PipelineStageError("query", ValueError("query matched no documents"))
 
-    base = stage(
-        "stopwords",
-        lambda: (
-            load_stopword_list(config.base_stopwords, "base")
-            if config.base_stopwords
-            else load_base_stopwords()
-        ),
+    base, extras = stage(
+        "stopwords", _load_stopwords, config.base_stopwords, config.extra_stopwords
     )
-    extras = [
-        stage("stopwords", load_stopword_list, path, "curated") for path in config.extra_stopwords
-    ]
+    streams = _prep_streams(corpus, base, *extras)
 
-    raw_streams = [TokenStream(d.id, tuple(tokenize(d.abstract))) for d in corpus]
-
-    def build_model(streams: list[TokenStream]) -> EmbeddingModel:
+    def build_model() -> EmbeddingModel:
         if config.model:
             return load_model(config.model)
-        return train(streams, config.train, workers=config.workers)
+        return train(streams, config.train)
 
     if not extras:
-        base_filtered = [filter_stopwords(s, base) for s in raw_streams]
-        interim = stage("candidates", build_model, base_filtered)
+        interim = stage("candidates", build_model)
         candidates = stage(
             "candidates",
             generate_stopword_candidates,
@@ -472,8 +499,7 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
         save_candidates(candidates, candidates_path)
         raise CurationRequired(candidates_path)
 
-    streams = [filter_stopwords(s, base, *extras) for s in raw_streams]
-    model = stage("train", build_model, streams)
+    model = stage("train", build_model)
     if config.model:
         log.info("model loaded: %d words, %d dimensions", len(model.vocab), model.dim)
     else:

@@ -32,11 +32,6 @@ __all__ = [
     "save_candidates",
 ]
 
-_PCA_START_SEED = 59  # fixed start vector for power iteration; never varies
-_PCA_TOLERANCE = 1e-12
-_PCA_MAX_ITERATIONS = 10_000
-
-
 @dataclass(frozen=True)
 class KeywordFrequencyTable:
     """Document frequency of extracted keywords within one industry."""
@@ -120,18 +115,9 @@ class PcaBasis:
     explained_variance: tuple[float, float]
 
 
-def _orthogonalize(v: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    for b in basis:
-        v = v - (v @ b) * b
-    return v
-
-
 def fit_pca(vectors: Sequence[np.ndarray]) -> PcaBasis:
-    """Fit the top-2 PCA basis by power iteration on the sample covariance.
-
-    Deterministic: the start vector comes from a fixed seed and iteration
-    stops at tolerance 1e-12 (or after 10 000 rounds).  Needs at least 3
-    distinct points and dimension >= 2.
+    """Fit the top-2 PCA basis from the eigendecomposition of the sample
+    covariance.  Needs at least 3 distinct points and dimension >= 2.
     """
     X = np.asarray(vectors, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 3:
@@ -143,37 +129,12 @@ def fit_pca(vectors: Sequence[np.ndarray]) -> PcaBasis:
     if not centered.any():
         raise ValueError("all points are identical; covariance is zero")
     cov = centered.T @ centered / (X.shape[0] - 1)
-
-    rng = np.random.default_rng(_PCA_START_SEED)
-    components: list[np.ndarray] = []
-    variances: list[float] = []
-    for _ in range(2):
-        v = _orthogonalize(rng.standard_normal(X.shape[1]), components)
-        v /= np.linalg.norm(v)
-        for _ in range(_PCA_MAX_ITERATIONS):
-            w = _orthogonalize(cov @ v, components)
-            norm = np.linalg.norm(w)
-            if norm < 1e-30:
-                # no variance left in the remaining subspace; keep direction
-                break
-            w /= norm
-            if np.linalg.norm(w - v) < _PCA_TOLERANCE or np.linalg.norm(w + v) < _PCA_TOLERANCE:
-                v = w
-                break
-            v = w
-        v = _orthogonalize(v, components)
-        v /= np.linalg.norm(v)
-        components.append(v)
-        variances.append(max(0.0, float(v @ cov @ v)))
-
-    if variances[1] > variances[0]:
-        components.reverse()
-        variances.reverse()
-    signed = []
-    for comp in components:
-        pivot = int(np.argmax(np.abs(comp)))
-        signed.append(-comp if comp[pivot] < 0 else comp)
-    return PcaBasis(mean, np.vstack(signed), (variances[0], variances[1]))
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)  # ascending
+    components = eigenvectors.T[[-1, -2]]  # top two, largest first
+    pivots = np.abs(components).argmax(axis=1)
+    components *= np.sign(components[[0, 1], pivots])[:, None]
+    variances = np.maximum(eigenvalues[[-1, -2]], 0.0)
+    return PcaBasis(mean, components, (float(variances[0]), float(variances[1])))
 
 
 def project(basis: PcaBasis, vector: np.ndarray) -> tuple[float, float]:

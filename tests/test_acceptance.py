@@ -172,7 +172,7 @@ def test_c04_two_topic_separation_both_modes():
                 negatives=5,
                 seed=seed,
             )
-            model = train(streams, config)  # deterministic single-worker mode
+            model = train(streams, config)  # deterministic
             intra, inter = _mean_intra_inter(model, topic_a, topic_b)
             wins += intra > inter
         assert wins >= 4, f"{mode}: separation in only {wins}/5 seeds"

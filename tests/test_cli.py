@@ -27,6 +27,9 @@ class TestExitCodes:
         assert main(["train"]) == EXIT_USAGE  # missing required flags
         assert main(["no-such-command"]) == EXIT_USAGE
         assert main([]) == EXIT_USAGE
+        # the threaded trainer and its flag are gone
+        stale = ["train", "--input", "c.jsonl", "--out", "m.w2v", "--workers", "2"]
+        assert main(stale) == EXIT_USAGE
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -168,6 +171,24 @@ class TestTrainSubcommand:
         )
         assert model.read_text().splitlines()[0].split()[4] == "99"
 
+    def test_tokens_file_mentioning_abstract_is_read_as_tokens(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, n=8)
+        lines = corpus.read_text().splitlines()
+        first = json.loads(lines[0])
+        first["abstract"] = "an abstract method " + first["abstract"]
+        corpus.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n")
+        tokens = tmp_path / "t.jsonl"
+        assert main(["ingest", "--input", str(corpus), "--tokens-out", str(tokens)]) == EXIT_OK
+        assert "abstract" in json.loads(tokens.read_text().splitlines()[0])["tokens"]
+        model = tmp_path / "model.w2v"
+        assert (
+            main(["train", "--input", str(tokens), "--dim", "4", "--epochs", "0", "--min-count", "1",
+                  "--out", str(model)])
+            == EXIT_OK
+        )
+        assert "abstract" in {line.split()[0] for line in model.read_text().splitlines()[1:]}
+
 
 class TestExtractSubcommand:
     def setup_model(self, tmp_path):
@@ -244,10 +265,21 @@ class TestPlotSubcommand:
         assert main(["plot", "--projection", str(projection), "--out-dir", str(out_dir)]) == EXIT_OK
         assert not out_dir.exists() or not list(out_dir.iterdir())
 
-    def test_malformed_header_is_failure(self, tmp_path):
+    def test_malformed_header_is_failure(self, tmp_path, caplog):
+        # a bad header or a bad row fails with the file and line
         projection = tmp_path / "projection.csv"
-        projection.write_text("wrong,header\n")
-        assert main(["plot", "--projection", str(projection), "--out-dir", str(tmp_path)]) == EXIT_FAILURE
+        header, good = "industry,keyword,x,y,cluster_id\n", "medical,drug,0.1,0.2,0\n"
+        cases = [
+            ("wrong,header\n", 1),
+            (header + good + "medical,dose,0.1,0.2\n", 3),  # a field short
+            (header + good + "medical,dose,zz,0.2,0\n", 3),  # non-numeric x
+            (header + good + "medical,dose,0.1,0.2,1.5\n", 3),  # non-integer cluster id
+        ]
+        for text, line in cases:
+            projection.write_text(text)
+            caplog.clear()
+            assert main(["plot", "--projection", str(projection), "--out-dir", str(tmp_path)]) == EXIT_FAILURE
+            assert f"{projection}:{line}:" in caplog.text, text
 
 
 class TestPipelineConfigPrecedence:
@@ -282,7 +314,10 @@ class TestPipelineConfigPrecedence:
         model_header = (out_dir / "model.w2v").read_text().splitlines()[0].split()
         assert model_header[3] == "6"
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, caplog):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"corpus": "x.jsonl", "typo_key": 1}))
-        assert main(["pipeline", "--config", str(config)]) == EXIT_FAILURE
+        for extra in ({"typo_key": 1}, {"workers": 2}):
+            config.write_text(json.dumps({"corpus": "x.jsonl", **extra}))
+            caplog.clear()
+            assert main(["pipeline", "--config", str(config)]) == EXIT_FAILURE
+            assert f"unknown config key(s): {next(iter(extra))}" in caplog.text

@@ -298,14 +298,6 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], TrainConfig(min_count=1))
 
-    def test_parallel_mode_trains_finite_vectors(self):
-        rng = np.random.default_rng(1)
-        streams, topic_a, topic_b = two_topic_streams(rng, sentences=20)
-        config = TrainConfig(dim=4, window=2, epochs=2, min_count=1, seed=1)
-        model = train(streams, config, workers=3)
-        assert np.isfinite(model.input_vectors).all()
-        assert np.isfinite(model.output_vectors).all()
-
     def test_records_corpus_size(self):
         streams = [stream("d1", "a b a"), stream("d2", "b a")]
         model = train(streams, TrainConfig(dim=2, epochs=1, min_count=1, seed=1, mode="full_softmax"))

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -247,3 +248,12 @@ class TestResolveConfig:
     def test_missing_corpus_key_rejected(self):
         with pytest.raises(ValueError, match="corpus"):
             resolve_config(None, {})
+
+    def test_mistyped_train_values_name_key_and_file(self, tmp_path):
+        config_path = tmp_path / "c.json"
+        for key, value in (("dim", "32"), ("epochs", True), ("learning_rate", "0.1"), ("mode", 1)):
+            config_path.write_text(json.dumps({"corpus": "x.jsonl", key: value}))
+            with pytest.raises(ValueError, match=re.escape(f"{config_path}: '{key}' must be")):
+                resolve_config(config_path, {})
+        config_path.write_text(json.dumps({"corpus": "x.jsonl", "learning_rate": 1}))
+        assert resolve_config(config_path, {}).train.learning_rate == 1
