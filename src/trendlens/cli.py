@@ -41,7 +41,13 @@ from .pipeline import (
 )
 from .query import parse_query
 from .svgplot import emit_scatter_svg
-from .textprep import TokenStream, load_token_streams, save_token_streams
+from .textprep import (
+    TokenStream,
+    filter_stopwords,
+    load_stopword_list,
+    load_token_streams,
+    save_token_streams,
+)
 from .trends import ProjectedPoint, generate_stopword_candidates, save_candidates
 
 log = logging.getLogger("trendlens")
@@ -107,8 +113,10 @@ def _input_streams(args) -> list[TokenStream]:
     """Token streams from either a corpus file or a tokens JSONL file.
 
     The kind comes from the first record: a JSON object with exactly the
-    keys 'id' and 'tokens' marks a tokens file, which is used as is.
-    Anything else is read as a corpus, then tokenized and stopword-filtered.
+    keys 'id' and 'tokens' marks a tokens file.  Its streams were filtered
+    when they were written, so only the stopword lists given here
+    explicitly are applied again.  Anything else is read as a corpus, then
+    tokenized and stopword-filtered.
     """
     with open(args.input, encoding="utf-8") as fh:
         first = next((line for line in fh if line.strip()), "")
@@ -117,7 +125,12 @@ def _input_streams(args) -> list[TokenStream]:
     except ValueError:
         record = None
     if isinstance(record, dict) and set(record) == {"id", "tokens"}:
-        return load_token_streams(args.input)
+        streams = load_token_streams(args.input)
+        lists = [load_stopword_list(args.base_stopwords, "base")] if args.base_stopwords else []
+        lists += [load_stopword_list(path, "curated") for path in args.extra_stopwords]
+        if lists:
+            streams = [filter_stopwords(s, *lists) for s in streams]
+        return streams
     corpus = load_corpus(args.input, getattr(args, "format", None))
     base, extras = _load_stopwords(args.base_stopwords, args.extra_stopwords)
     return _prep_streams(corpus, base, *extras)

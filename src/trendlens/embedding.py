@@ -13,11 +13,18 @@ negative log probability of the observed context word under either
   words drawn from the unigram^0.75 distribution.
 
 Training is reproducible bit for bit from the seed.
+:func:`pair_loss_and_gradients` is the pure, finite-difference-checked
+statement of one SGD step; the training loop is a lean form of it that
+skips the per-pair objects and checks, and the oracle test in
+``tests/test_embedding.py`` holds the two equal bit for bit in both modes.
+Each epoch logs its mean loss and pairs/s at INFO.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,6 +59,8 @@ _FORMAT_VERSION = "1"
 _OUTPUT_MARKER = "#output"
 _LR_FLOOR_FRACTION = 1e-4
 _NEGATIVE_POWER = 0.75
+
+log = logging.getLogger(__name__)
 
 
 class TrainingDiverged(RuntimeError):
@@ -243,12 +252,12 @@ class UnigramSampler:
         """k draws, re-drawing any that hit ``exclude``; repeats are allowed."""
         if self._size < 2:
             raise ValueError("negative sampling needs a vocabulary of at least 2 words")
+        # Each round draws exactly as many values as are still missing, so
+        # the generator advances as it would for one scalar draw at a time.
         out: list[int] = []
-        while len(out) < k:
-            idx = int(np.searchsorted(self._cum, rng.random(), side="right"))
-            idx = min(idx, self._size - 1)
-            if idx != exclude:
-                out.append(idx)
+        while (need := k - len(out)) > 0:
+            drawn = self._cum.searchsorted(rng.random(need), side="right")
+            out += [i for i in np.minimum(drawn, self._size - 1).tolist() if i != exclude]
         return out
 
 
@@ -316,11 +325,6 @@ def pair_loss_and_gradients(
     return loss, grads
 
 
-def _apply(model: EmbeddingModel, grads: PairGradients, lr: float) -> None:
-    model.input_vectors[grads.center] -= lr * grads.center_grad
-    model.output_vectors[grads.output_rows] -= lr * grads.output_grads
-
-
 def _all_pairs(streams: Sequence[TokenStream], vocab: Vocabulary, window: int) -> np.ndarray:
     pairs: list[ContextPair] = []
     for stream in streams:
@@ -372,24 +376,71 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
     return model
 
 
-def _lr_at(config: TrainConfig, step: int, total_steps: int) -> float:
-    return config.learning_rate * max(_LR_FLOOR_FRACTION, 1.0 - step / total_steps)
-
-
 def _train_sequential(model, pairs, config, rng, sampler, total_steps) -> None:
+    """Plain SGD over the shuffled pairs, one pair at a time.
+
+    A lean form of :func:`pair_loss_and_gradients` followed by the SGD
+    update: the same numpy operations on the same operands, so the weights
+    match the oracle bit for bit.  ``h`` is a view of the center's input
+    row, so every product that reads it is taken before that row changes.
+    """
+    inp, out = model.input_vectors, model.output_vectors
+    centers, contexts = pairs[:, 0].tolist(), pairs[:, 1].tolist()
+    lr0, k, n = config.learning_rate, config.negatives, len(pairs)
+    signs = np.array([-1.0] + [1.0] * k)
     step = 0
     for epoch in range(config.epochs):
-        order = rng.permutation(len(pairs))
-        for idx in order:
-            pair = ContextPair(int(pairs[idx, 0]), int(pairs[idx, 1]))
-            negatives = (
-                sampler.draw(rng, config.negatives, pair.context) if sampler is not None else None
-            )
-            loss, grads = pair_loss_and_gradients(model, pair, negatives)
+        started, loss_sum = time.perf_counter(), 0.0
+        for idx in rng.permutation(n).tolist():
+            center, context = centers[idx], contexts[idx]
+            lr = lr0 * max(_LR_FLOOR_FRACTION, 1.0 - step / total_steps)
+            h = inp[center]
+            if sampler is None:  # full softmax over the whole vocabulary
+                with np.errstate(over="ignore", invalid="ignore"):
+                    u = out @ h
+                if np.isfinite(u).all():
+                    m = u.max()
+                    e = np.exp(u - m)
+                    total = e.sum()
+                    loss = float(m + math.log(total) - u[context])
+                else:
+                    loss = math.inf
+            else:
+                negatives = sampler.draw(rng, k, context)
+                rows = [context, *negatives]
+                w = out[rows]
+                u = w @ h
+                terms = np.logaddexp(0.0, u * signs)  # -log sigma(u_pos), -log sigma(-u_neg)
+                loss = float(terms[0] + terms[1:].sum())
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch, step)
-            _apply(model, grads, _lr_at(config, step, total_steps))
+            if sampler is None:
+                e /= total
+                e[context] -= 1.0
+                center_grad = out.T @ e
+                out -= lr * np.outer(e, h)
+            else:
+                # _sigmoid without the masks: 1/(1+e^-u) for u >= 0, e^u/(1+e^u) below
+                e = np.exp(-np.abs(u))
+                g = np.where(u >= 0, 1.0, e) / (1.0 + e)
+                g[0] -= 1.0
+                center_grad = g @ w
+                grads = np.outer(g, h)
+                if len(set(negatives)) == k:
+                    out[rows] = w - lr * grads
+                else:  # a repeated negative accumulates its rows' updates
+                    rows, inverse = np.unique(rows, return_inverse=True)
+                    acc = np.zeros((len(rows), len(h)))
+                    np.add.at(acc, inverse, grads)
+                    out[rows] -= lr * acc
+            h -= lr * center_grad
+            loss_sum += loss
             step += 1
+        seconds = time.perf_counter() - started
+        log.info(
+            "epoch %d/%d: mean loss %.6f, %.0f pairs/s",
+            epoch + 1, config.epochs, loss_sum / n, n / seconds if seconds > 0 else 0.0,
+        )
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -451,7 +502,20 @@ def _parse_rows(lines, n_rows, dim, path, what) -> tuple[list[str], np.ndarray]:
         except ValueError:
             raise ModelFormatError(f"{path}: word {word!r}: malformed float") from None
         words.append(word)
+    _reject_non_finite(matrix, words, path, "word")
     return words, matrix
+
+
+def _reject_non_finite(matrix: np.ndarray, labels: Sequence[str], path, what: str) -> None:
+    """Raise ModelFormatError naming the first row that holds a nan or inf.
+
+    min and max propagate nan and reach any inf, so the common all-finite
+    case costs two reductions and no temporary the size of the matrix.
+    """
+    if matrix.size == 0 or (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
+        return
+    row = int(np.isfinite(matrix).all(axis=1).argmin())
+    raise ModelFormatError(f"{path}: {what} {labels[row]!r}: non-finite value")
 
 
 def load_model(path: str | Path) -> EmbeddingModel:

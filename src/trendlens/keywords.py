@@ -17,7 +17,13 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .embedding import EmbeddingModel, ModelFormatError, cosine_similarity, load_model
+from .embedding import (
+    EmbeddingModel,
+    ModelFormatError,
+    _reject_non_finite,
+    cosine_similarity,
+    load_model,
+)
 from .textprep import StopwordList, TokenStream, stopword_union
 
 __all__ = [
@@ -215,7 +221,7 @@ def load_document_vectors(path: str | Path) -> tuple[dict[str, np.ndarray], int]
             n, dim = int(header[2]), int(header[3])
         except ValueError:
             raise ModelFormatError(f"{path}: bad header (N, D must be integers)") from None
-        vectors: dict[str, np.ndarray] = {}
+        vectors: dict[str, list[float]] = {}
         for line in fh:
             if not line.strip():
                 continue
@@ -228,12 +234,14 @@ def load_document_vectors(path: str | Path) -> tuple[dict[str, np.ndarray], int]
                     f"{path}: doc {doc_id!r}: expected {dim} values, got {len(values)}"
                 )
             try:
-                vectors[doc_id] = np.array([float(v) for v in values])
+                vectors[doc_id] = [float(v) for v in values]
             except ValueError:
                 raise ModelFormatError(f"{path}: doc {doc_id!r}: malformed float") from None
     if len(vectors) != n:
         raise ModelFormatError(f"{path}: header promises {n} rows, found {len(vectors)}")
-    return vectors, dim
+    matrix = np.array(list(vectors.values()), dtype=np.float64).reshape(n, dim)
+    _reject_non_finite(matrix, list(vectors), path, "doc")
+    return dict(zip(vectors, matrix)), dim
 
 
 def document_vectors(

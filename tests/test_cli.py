@@ -190,6 +190,37 @@ class TestTrainSubcommand:
         assert "abstract" in {line.split()[0] for line in model.read_text().splitlines()[1:]}
 
 
+    def test_stopword_flags_apply_to_tokens_file(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, n=8)
+        tokens = tmp_path / "t.jsonl"
+        assert main(["ingest", "--input", str(corpus), "--tokens-out", str(tokens)]) == EXIT_OK
+        stop = tmp_path / "s.txt"
+        stop.write_text("gamma\n")
+        base = tmp_path / "base.txt"
+        base.write_text("delta\n")
+        common = ["--dim", "4", "--epochs", "0", "--min-count", "1"]
+
+        def vocab(*argv):
+            model = tmp_path / "model.w2v"
+            assert main(["train", *argv, *common, "--out", str(model)]) == EXIT_OK
+            return {line.split()[0] for line in model.read_text().splitlines()[1:]}
+
+        assert {"gamma", "delta"} <= vocab("--input", str(tokens))
+        from_tokens = vocab("--input", str(tokens), "--extra-stopwords", str(stop))
+        assert "gamma" not in from_tokens and "delta" in from_tokens
+        assert from_tokens == vocab("--input", str(corpus), "--extra-stopwords", str(stop))
+        assert "delta" not in vocab("--input", str(tokens), "--base-stopwords", str(base))
+
+        model = tmp_path / "full.w2v"
+        assert main(["train", "--input", str(corpus), *common, "--out", str(model)]) == EXIT_OK
+        out = tmp_path / "k.csv"
+        argv = ["extract", "--input", str(tokens), "--model", str(model), "--extra-stopwords", str(stop)]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        keywords = {row["keyword"] for row in csv.DictReader(open(out))}
+        assert keywords and "gamma" not in keywords
+
+
 class TestExtractSubcommand:
     def setup_model(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -200,6 +231,18 @@ class TestExtractSubcommand:
              "--seed", "3", "--out", str(model)]
         )
         return corpus, model
+
+    def test_non_finite_model_is_failure(self, tmp_path, caplog):
+        corpus, model = self.setup_model(tmp_path)
+        lines = model.read_text().splitlines()
+        word, *values = lines[3].split()
+        lines[3] = " ".join([word, "nan", *values[1:]])
+        model.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "k.csv"
+        argv = ["extract", "--input", str(corpus), "--model", str(model), "--out", str(out)]
+        assert main(argv) == EXIT_FAILURE
+        assert f"{model}: word '{word}': non-finite value" in caplog.text
+        assert not out.exists()
 
     def test_at_most_top_n_rows_per_doc(self, tmp_path):
         corpus, model = self.setup_model(tmp_path)

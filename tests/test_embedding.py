@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from trendlens.embedding import (
     TrainingDiverged,
     UnigramSampler,
     Vocabulary,
+    _LR_FLOOR_FRACTION,
     build_vocab,
     cosine_similarity,
     generate_pairs,
@@ -205,6 +207,18 @@ class TestSampler:
         b = sampler.draw(np.random.default_rng(42), 10, 0)
         assert a == b
 
+    @pytest.mark.parametrize("counts, exclude", [((5, 3, 2, 7), 3), ((1, 1), 0), ((50, 1, 1), 0)])
+    def test_batched_draws_equal_scalar_draws(self, counts, exclude):
+        sampler = UnigramSampler(counts)
+        weights = np.asarray(counts, dtype=np.float64) ** 0.75
+        cum = np.cumsum(weights / weights.sum())
+        batched, scalar = np.random.default_rng(5), np.random.default_rng(5)
+        for k in (1, 5, 5, 12, 3):
+            assert sampler.draw(batched, k, exclude) == scalar_draw(cum, scalar, k, exclude)
+            # interleaved shuffles see the generator in the same state
+            assert batched.permutation(7).tolist() == scalar.permutation(7).tolist()
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
     def test_tiny_vocab_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             UnigramSampler((3,)).draw(np.random.default_rng(0), 1, 0)
@@ -294,6 +308,17 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="epoch"):
             train(streams, config)
 
+    @pytest.mark.parametrize("mode", ["full_softmax", "negative_sampling"])
+    def test_logs_loss_and_throughput_per_epoch(self, mode, caplog):
+        config = TrainConfig(dim=4, window=2, epochs=3, min_count=1, mode=mode, seed=5)
+        with caplog.at_level("INFO", logger="trendlens.embedding"):
+            train([stream("d", "a b c a b c a b")], config)
+        lines = [r.getMessage() for r in caplog.records if r.name == "trendlens.embedding"]
+        assert [line.split(":")[0] for line in lines] == ["epoch 1/3", "epoch 2/3", "epoch 3/3"]
+        for line in lines:
+            match = re.fullmatch(r"epoch \d/3: mean loss (\S+), (\d+) pairs/s", line)
+            assert match and math.isfinite(float(match[1])) and float(match[1]) > 0
+
     def test_empty_streams_rejected(self):
         with pytest.raises(ValueError):
             train([], TrainConfig(min_count=1))
@@ -303,6 +328,88 @@ class TestTrain:
         model = train(streams, TrainConfig(dim=2, epochs=1, min_count=1, seed=1, mode="full_softmax"))
         assert model.train_streams == 2
         assert model.train_tokens == 5
+
+
+def scalar_draw(cum, rng, k, exclude):
+    """The sampler's draw as one generator call per value (the reference)."""
+    out = []
+    while len(out) < k:
+        idx = min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
+        if idx != exclude:
+            out.append(idx)
+    return out
+
+
+def oracle_train(streams, config):
+    """train() as a per-pair loop over pair_loss_and_gradients and a plain SGD step.
+
+    The reference the trainer's lean loop must match bit for bit: same
+    initialization, shuffles, negatives and learning-rate schedule, with
+    every pair built as a ContextPair and its negatives drawn one at a time.
+    """
+    vocab = build_vocab(streams, config.min_count)
+    V, D = len(vocab), config.dim
+    rng = np.random.default_rng(config.seed)
+    model = EmbeddingModel(vocab, (rng.random((V, D)) - 0.5) / D, np.zeros((V, D)), config, config.seed)
+    pairs = [p for s in streams for p in generate_pairs(s, vocab, config.window)]
+    total_steps = config.epochs * len(pairs)
+    weights = np.asarray(vocab.counts, dtype=np.float64) ** 0.75
+    cum = np.cumsum(weights / weights.sum())
+    step = 0
+    for epoch in range(config.epochs):
+        for idx in rng.permutation(len(pairs)):
+            pair = ContextPair(*pairs[idx])
+            negatives = None
+            if config.mode == "negative_sampling":
+                negatives = scalar_draw(cum, rng, config.negatives, pair.context)
+            loss, grads = pair_loss_and_gradients(model, pair, negatives)
+            if not math.isfinite(loss):
+                raise TrainingDiverged(epoch, step)
+            lr = config.learning_rate * max(_LR_FLOOR_FRACTION, 1.0 - step / total_steps)
+            model.input_vectors[grads.center] -= lr * grads.center_grad
+            model.output_vectors[grads.output_rows] -= lr * grads.output_grads
+            step += 1
+    return model
+
+
+def oracle_streams(seed, docs=12, words=20, length=15):
+    rng = np.random.default_rng(seed)
+    lexicon = [f"w{i:02d}" for i in range(words)]
+    return [TokenStream(f"d{i}", tuple(rng.choice(lexicon, size=length))) for i in range(docs)]
+
+
+class TestLeanLoopMatchesOracle:
+    @pytest.mark.parametrize("mode", ["full_softmax", "negative_sampling"])
+    @pytest.mark.parametrize("dim", [3, 16])
+    @pytest.mark.parametrize("seed", [7, 1, 123])
+    def test_bit_identical(self, mode, dim, seed):
+        config = TrainConfig(dim=dim, window=3, epochs=2, learning_rate=0.05, min_count=2,
+                             mode=mode, seed=seed)
+        streams = oracle_streams(seed)
+        lean, oracle = train(streams, config), oracle_train(streams, config)
+        np.testing.assert_array_equal(lean.input_vectors, oracle.input_vectors)
+        np.testing.assert_array_equal(lean.output_vectors, oracle.output_vectors)
+        assert lean.output_vectors.any()
+
+    @pytest.mark.parametrize("mode", ["full_softmax", "negative_sampling"])
+    def test_repeated_negatives_bit_identical(self, mode):
+        # three words and five negatives: every negative_sampling draw repeats a row
+        streams = [stream("a", "x y z x y z x x y"), stream("b", "z z y x y")]
+        config = TrainConfig(dim=5, window=2, epochs=3, min_count=1, mode=mode, negatives=5, seed=4)
+        lean, oracle = train(streams, config), oracle_train(streams, config)
+        np.testing.assert_array_equal(lean.input_vectors, oracle.input_vectors)
+        np.testing.assert_array_equal(lean.output_vectors, oracle.output_vectors)
+
+    @pytest.mark.parametrize("mode", ["full_softmax", "negative_sampling"])
+    def test_divergence_reported_at_same_step(self, mode):
+        streams = oracle_streams(3, docs=4, words=6, length=10)
+        config = TrainConfig(dim=4, window=2, epochs=50, learning_rate=1e18, min_count=1,
+                             mode=mode, seed=2)
+        with pytest.raises(TrainingDiverged) as expected:
+            oracle_train(streams, config)
+        with pytest.raises(TrainingDiverged) as actual:
+            train(streams, config)
+        assert (actual.value.epoch, actual.value.step) == (expected.value.epoch, expected.value.step)
 
 
 class TestTrainConfigValidation:
@@ -413,4 +520,18 @@ class TestModelFiles:
         path = tmp_path / "m.w2v"
         path.write_text("trendlens-w2v 1 1 1 7\nfoo 1.0\nbar 2.0\n")
         with pytest.raises(ModelFormatError, match="extra"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("block", ["input", "output"])
+    def test_non_finite_value_names_path_and_word(self, tmp_path, value, block):
+        path = tmp_path / "m.w2v"
+        save_model(self.make(), path, full=True)
+        lines = path.read_text().splitlines()
+        row = 2 if block == "input" else 2 + len(lines) // 2  # second word of the block
+        word, *values = lines[row].split()
+        values[1] = value
+        lines[row] = " ".join([word, *values])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=re.escape(f"{path}: word '{word}': non-finite")):
             load_model(path)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,13 @@ class TestFileEmbedder:
         assert dim == 2
         for key in vectors:
             np.testing.assert_array_equal(loaded[key], vectors[key])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_docvec_non_finite_names_path_and_doc(self, tmp_path, value):
+        path = tmp_path / "d.vec"
+        path.write_text(f"trendlens-docvec 1 3 2\nA 0.1 0.2\nB 0.5 {value}\nC 1.0 2.0\n")
+        with pytest.raises(ModelFormatError, match=re.escape(f"{path}: doc 'B': non-finite")):
+            load_document_vectors(path)
 
     def test_doc_id_with_space_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="whitespace"):
