@@ -9,7 +9,6 @@ stopword curation required, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -32,15 +31,14 @@ from .pipeline import (
     PipelineStageError,
     _load_stopwords,
     _prep_streams,
-    _safe_name,
     _train_config,
     analyze_extractions,
+    plot_projection,
     resolve_config,
     run_pipeline,
     write_report_files,
 )
 from .query import parse_query
-from .svgplot import emit_scatter_svg
 from .textprep import (
     TokenStream,
     filter_stopwords,
@@ -48,7 +46,7 @@ from .textprep import (
     load_token_streams,
     save_token_streams,
 )
-from .trends import ProjectedPoint, generate_stopword_candidates, save_candidates
+from .trends import generate_stopword_candidates, save_candidates
 
 log = logging.getLogger("trendlens")
 
@@ -160,12 +158,13 @@ def cmd_query(args) -> int:
 def cmd_stopwords(args) -> int:
     corpus = load_corpus(args.input, args.format)
     base, _ = _load_stopwords(args.base_stopwords, ())
+    streams = _prep_streams(corpus, base)
     if args.model:
         model = load_model(args.model)
     else:
-        model = train(_prep_streams(corpus, base), _flag_train_config(args))
+        model = train(streams, _flag_train_config(args))
     candidates = generate_stopword_candidates(
-        corpus, ReferenceEmbedder(model), base, args.top_k, args.top_n
+        streams, ReferenceEmbedder(model), args.top_k, args.top_n
     )
     save_candidates(candidates, args.out)
     log.info("wrote %d candidates to %s", len(candidates), args.out)
@@ -228,35 +227,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    by_industry: dict[str, tuple[list[ProjectedPoint], dict[str, int]]] = {}
-    with open(args.projection, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["industry", "keyword", "x", "y", "cluster_id"]:
-            raise ValueError(f"{args.projection}:1: expected header industry,keyword,x,y,cluster_id")
-        for row in reader:
-            where = f"{args.projection}:{reader.line_num}"
-            if len(row) != 5:
-                raise ValueError(f"{where}: expected 5 fields, got {len(row)}")
-            industry, keyword, x, y, cluster_id = row
-            try:
-                xy, label = (float(x), float(y)), int(cluster_id)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            points, labels = by_industry.setdefault(industry, ([], {}))
-            points.append(ProjectedPoint(keyword, None, xy))
-            labels[keyword] = label
-    if not by_industry:
+    written = plot_projection(args.projection, args.out_dir)
+    if not written:
         # a header-only projection is what the pipeline emits when every
         # industry was too small to project; succeeding with no plots keeps
         # staged output identical to the single-shot run
         log.warning("%s: no projected points; nothing to plot", args.projection)
         return EXIT_OK
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for industry, (points, labels) in sorted(by_industry.items()):
-        emit_scatter_svg(points, labels, out_dir / f"scatter_{_safe_name(industry)}.svg")
-    log.info("wrote %d plot(s) to %s", len(by_industry), out_dir)
+    log.info("wrote %d plot(s) to %s", len(written), args.out_dir)
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,10 +51,13 @@ __all__ = [
     "cosine_similarity",
     "save_model",
     "load_model",
+    "save_document_vectors",
+    "load_document_vectors",
 ]
 
 MODES = ("full_softmax", "negative_sampling")
 _MAGIC = "trendlens-w2v"
+_DOCVEC_MAGIC = "trendlens-docvec"
 _FORMAT_VERSION = "1"
 _OUTPUT_MARKER = "#output"
 _LR_FLOOR_FRACTION = 1e-4
@@ -86,10 +89,6 @@ class Vocabulary:
     @cached_property
     def index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.words)}
-
-    @property
-    def size(self) -> int:
-        return len(self.words)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -456,8 +455,11 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (norm_a * norm_b))
 
 
-def _format_row(label: str, row: np.ndarray) -> str:
-    return label + " " + " ".join(repr(float(x)) for x in row) + "\n"
+def _write_rows(fh, labels: Iterable[str], matrix) -> None:
+    """One ``label v1 .. vD`` line per row, floats in shortest round-trip repr."""
+    for label, row in zip(labels, matrix):
+        values = np.asarray(row, dtype=np.float64).tolist()
+        fh.write(label + " " + " ".join(map(repr, values)) + "\n")
 
 
 def save_model(model: EmbeddingModel, path: str | Path, full: bool = False) -> None:
@@ -469,41 +471,52 @@ def save_model(model: EmbeddingModel, path: str | Path, full: bool = False) -> N
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_MAGIC} {_FORMAT_VERSION} {len(model.vocab)} {model.dim} {model.seed}\n")
-        for word, row in zip(model.vocab.words, model.input_vectors):
-            fh.write(_format_row(word, row))
+        _write_rows(fh, model.vocab.words, model.input_vectors)
         if full:
             fh.write(_OUTPUT_MARKER + "\n")
-            for word, row in zip(model.vocab.words, model.output_vectors):
-                fh.write(_format_row(word, row))
+            _write_rows(fh, model.vocab.words, model.output_vectors)
 
 
-def _parse_rows(lines, n_rows, dim, path, what) -> tuple[list[str], np.ndarray]:
-    words: list[str] = []
+def _read_header(fh, path, magic: str, names: tuple[str, ...]) -> list[int]:
+    """The integer fields ``names`` of a ``magic 1 ...`` header line."""
+    header = fh.readline().split()
+    if header[:2] != [magic, _FORMAT_VERSION] or len(header) != 2 + len(names):
+        raise ModelFormatError(
+            f"{path}: bad header (expected '{magic} {_FORMAT_VERSION} {' '.join(names)}')"
+        )
+    try:
+        return [int(v) for v in header[2:]]
+    except ValueError:
+        raise ModelFormatError(f"{path}: bad header ({', '.join(names)} must be integers)") from None
+
+
+def _read_rows(lines, n_rows, dim, path, block, what) -> tuple[list[str], np.ndarray]:
+    """The next ``n_rows`` non-blank ``lines`` as labelled rows of ``dim``
+    finite floats; ``block`` and ``what`` name the block and the label kind
+    in errors.  Assigning the strings to a float64 row parses them exactly
+    as float() does."""
+    labels: list[str] = []
     matrix = np.empty((n_rows, dim))
     seen = set()
     for r in range(n_rows):
         try:
-            line = next(lines)
+            label, *values = next(lines).split()
         except StopIteration:
-            raise ModelFormatError(f"{path}: unexpected end of file in {what} block") from None
-        parts = line.split()
-        if not parts:
-            raise ModelFormatError(f"{path}: blank line in {what} block")
-        word, values = parts[0], parts[1:]
-        if word in seen:
-            raise ModelFormatError(f"{path}: duplicate word {word!r}")
-        seen.add(word)
+            raise ModelFormatError(f"{path}: unexpected end of file in {block} block") from None
+        if label in seen:
+            raise ModelFormatError(f"{path}: duplicate {what} {label!r}")
+        seen.add(label)
         if len(values) != dim:
             raise ModelFormatError(
-                f"{path}: word {word!r}: expected {dim} values, got {len(values)}"
+                f"{path}: {what} {label!r}: expected {dim} values, got {len(values)}"
             )
         try:
-            matrix[r] = [float(v) for v in values]
+            matrix[r] = values
         except ValueError:
-            raise ModelFormatError(f"{path}: word {word!r}: malformed float") from None
-        words.append(word)
-    _reject_non_finite(matrix, words, path, "word")
-    return words, matrix
+            raise ModelFormatError(f"{path}: {what} {label!r}: malformed float") from None
+        labels.append(label)
+    _reject_non_finite(matrix, labels, path, what)
+    return labels, matrix
 
 
 def _reject_non_finite(matrix: np.ndarray, labels: Sequence[str], path, what: str) -> None:
@@ -521,28 +534,20 @@ def _reject_non_finite(matrix: np.ndarray, labels: Sequence[str], path, what: st
 def load_model(path: str | Path) -> EmbeddingModel:
     """Read a model written by :func:`save_model`; vectors match bit for bit."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 5 or header[0] != _MAGIC or header[1] != _FORMAT_VERSION:
-            raise ModelFormatError(f"{path}: bad header (expected '{_MAGIC} {_FORMAT_VERSION} V D seed')")
-        try:
-            V, D, seed = int(header[2]), int(header[3]), int(header[4])
-        except ValueError:
-            raise ModelFormatError(f"{path}: bad header (V, D, seed must be integers)") from None
+        V, D, seed = _read_header(fh, path, _MAGIC, ("V", "D", "seed"))
         if V < 1 or D < 1 or seed < 0:
             raise ModelFormatError(f"{path}: bad header (V={V}, D={D}, seed={seed})")
         lines = (line for line in fh if line.strip())
-        words, input_vectors = _parse_rows(lines, V, D, path, "input")
+        words, input_vectors = _read_rows(lines, V, D, path, "input", "word")
         output_vectors = np.zeros((V, D))
         trailer = next(lines, None)
-        if trailer is not None:
-            if trailer.strip() != _OUTPUT_MARKER:
-                raise ModelFormatError(f"{path}: unexpected extra line {trailer.strip()!r}")
-            out_words, output_vectors = _parse_rows(lines, V, D, path, "output")
+        if trailer is not None and trailer.strip() == _OUTPUT_MARKER:
+            out_words, output_vectors = _read_rows(lines, V, D, path, "output", "word")
             if out_words != words:
                 raise ModelFormatError(f"{path}: output block word order differs from input block")
-            extra = next(lines, None)
-            if extra is not None:
-                raise ModelFormatError(f"{path}: unexpected extra line {extra.strip()!r}")
+            trailer = next(lines, None)
+        if trailer is not None:
+            raise ModelFormatError(f"{path}: unexpected extra line {trailer.strip()!r}")
     return EmbeddingModel(
         vocab=Vocabulary(tuple(words)),
         input_vectors=input_vectors,
@@ -550,3 +555,34 @@ def load_model(path: str | Path) -> EmbeddingModel:
         config=None,
         seed=seed,
     )
+
+
+def save_document_vectors(vectors: Mapping[str, np.ndarray], path: str | Path) -> None:
+    """Write doc-id-keyed vectors: a ``trendlens-docvec 1 N D`` header, then
+    one ``doc_id v1 .. vD`` line per document, as :func:`save_model` does."""
+    dims = {v.shape[-1] for v in vectors.values()}
+    if len(dims) > 1 or 0 in dims:
+        raise ValueError(f"document vectors need one positive dimension, got {sorted(dims)}")
+    for doc_id in vectors:
+        if any(ch.isspace() for ch in doc_id):
+            raise ValueError(f"doc id {doc_id!r} contains whitespace; not representable")
+    dim = dims.pop() if dims else 0
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{_DOCVEC_MAGIC} {_FORMAT_VERSION} {len(vectors)} {dim}\n")
+        _write_rows(fh, vectors, vectors.values())
+
+
+def load_document_vectors(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
+    """Read a file written by :func:`save_document_vectors`: the vectors
+    keyed by doc id, and their dimension.  Rows get the checks of
+    :func:`load_model`; D may be 0 only when N is 0."""
+    with open(path, encoding="utf-8") as fh:
+        n, dim = _read_header(fh, path, _DOCVEC_MAGIC, ("N", "D"))
+        if n < 0 or dim < (1 if n else 0):
+            raise ModelFormatError(f"{path}: bad header (N={n}, D={dim})")
+        lines = (line for line in fh if line.strip())
+        doc_ids, matrix = _read_rows(lines, n, dim, path, "document", "doc")
+        extra = next(lines, None)
+        if extra is not None:
+            raise ModelFormatError(f"{path}: unexpected extra line {extra.strip()!r}")
+    return dict(zip(doc_ids, matrix)), dim

@@ -11,6 +11,7 @@ source changes nothing downstream.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
@@ -20,9 +21,10 @@ import numpy as np
 from .embedding import (
     EmbeddingModel,
     ModelFormatError,
-    _reject_non_finite,
     cosine_similarity,
+    load_document_vectors,
     load_model,
+    save_document_vectors,
 )
 from .textprep import StopwordList, TokenStream, stopword_union
 
@@ -39,10 +41,6 @@ __all__ = [
     "load_document_vectors",
     "document_vectors",
 ]
-
-_DOCVEC_MAGIC = "trendlens-docvec"
-_DOCVEC_VERSION = "1"
-
 
 class Embedder(Protocol):
     """Vector source for documents and words sharing one dimension."""
@@ -180,68 +178,30 @@ def save_extractions(results: Sequence[ExtractionResult], path: str | Path) -> N
 
 
 def load_extractions(path: str | Path) -> list[ExtractionResult]:
-    """Read an extraction CSV back; documents keep file order."""
+    """Read an extraction CSV back; documents keep file order.
+
+    A bad header, a wrong field count or a score that is not a finite
+    number fails with ``path:line``.
+    """
     grouped: dict[str, list[KeywordScore]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["doc_id", "rank", "keyword", "score"]:
-            raise ValueError(f"{path}: expected header doc_id,rank,keyword,score")
+            raise ValueError(f"{path}:1: expected header doc_id,rank,keyword,score")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             if len(row) != 4:
-                raise ValueError(f"{path}: expected 4 fields, got {len(row)}")
+                raise ValueError(f"{where}: expected 4 fields, got {len(row)}")
             doc_id, _rank, keyword, score = row
-            grouped.setdefault(doc_id, []).append(KeywordScore(keyword, float(score)))
-    return [ExtractionResult(doc_id, tuple(kws)) for doc_id, kws in grouped.items()]
-
-
-def save_document_vectors(vectors: Mapping[str, np.ndarray], path: str | Path) -> None:
-    """Write doc-id-keyed vectors: header, then one id + values per line."""
-    dims = {v.shape[-1] for v in vectors.values()}
-    if len(dims) > 1:
-        raise ValueError(f"document vectors disagree on dimension: {sorted(dims)}")
-    dim = dims.pop() if dims else 0
-    for doc_id in vectors:
-        if any(ch.isspace() for ch in doc_id):
-            raise ValueError(f"doc id {doc_id!r} contains whitespace; not representable")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_DOCVEC_MAGIC} {_DOCVEC_VERSION} {len(vectors)} {dim}\n")
-        for doc_id, vec in vectors.items():
-            fh.write(doc_id + " " + " ".join(repr(float(x)) for x in vec) + "\n")
-
-
-def load_document_vectors(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != _DOCVEC_MAGIC or header[1] != _DOCVEC_VERSION:
-            raise ModelFormatError(
-                f"{path}: bad header (expected '{_DOCVEC_MAGIC} {_DOCVEC_VERSION} N D')"
-            )
-        try:
-            n, dim = int(header[2]), int(header[3])
-        except ValueError:
-            raise ModelFormatError(f"{path}: bad header (N, D must be integers)") from None
-        vectors: dict[str, list[float]] = {}
-        for line in fh:
-            if not line.strip():
-                continue
-            parts = line.split()
-            doc_id, values = parts[0], parts[1:]
-            if doc_id in vectors:
-                raise ModelFormatError(f"{path}: duplicate doc id {doc_id!r}")
-            if len(values) != dim:
-                raise ModelFormatError(
-                    f"{path}: doc {doc_id!r}: expected {dim} values, got {len(values)}"
-                )
             try:
-                vectors[doc_id] = [float(v) for v in values]
+                value = float(score)
             except ValueError:
-                raise ModelFormatError(f"{path}: doc {doc_id!r}: malformed float") from None
-    if len(vectors) != n:
-        raise ModelFormatError(f"{path}: header promises {n} rows, found {len(vectors)}")
-    matrix = np.array(list(vectors.values()), dtype=np.float64).reshape(n, dim)
-    _reject_non_finite(matrix, list(vectors), path, "doc")
-    return dict(zip(vectors, matrix)), dim
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{where}: score {score!r} is not a finite number")
+            grouped.setdefault(doc_id, []).append(KeywordScore(keyword, value))
+    return [ExtractionResult(doc_id, tuple(kws)) for doc_id, kws in grouped.items()]
 
 
 def document_vectors(

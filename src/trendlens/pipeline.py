@@ -50,6 +50,7 @@ __all__ = [
     "CurationRequired",
     "resolve_config",
     "run_pipeline",
+    "plot_projection",
 ]
 
 log = logging.getLogger(__name__)
@@ -276,12 +277,6 @@ class TrendReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _sixdec(value: float) -> float:
-    """The float a 6-decimal CSV field parses back to; plots use these so
-    staged runs reading the CSV reproduce the pipeline's bytes."""
-    return float(f"{value:.6f}")
-
-
 def _safe_name(industry: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in industry.lower())
 
@@ -343,16 +338,40 @@ def write_report_files(report: TrendReport, out_dir: Path) -> list[Path]:
     report_path = out_dir / "trend_report.json"
     report_path.write_text(report.to_json(), encoding="utf-8")
     written.append(report_path)
-    for industry in sorted(report.industries):
-        trend = report.industries[industry]
-        if trend.clusters is None or not trend.points:
-            continue
-        svg_path = out_dir / f"scatter_{_safe_name(industry)}.svg"
-        plot_points = [
-            ProjectedPoint(p.keyword, None, (_sixdec(p.xy[0]), _sixdec(p.xy[1])))
-            for p in trend.points
-        ]
-        emit_scatter_svg(plot_points, trend.clusters.labels(), svg_path)
+    written.extend(plot_projection(proj_path, out_dir))
+    return written
+
+
+def plot_projection(path: str | Path, out_dir: str | Path) -> list[Path]:
+    """Render one scatter SVG per industry of a projection CSV.
+
+    Plots read the 6-decimal coordinates the CSV holds, so the pipeline
+    and a staged ``plot`` write the same bytes.  A header-only file plots
+    nothing; a malformed header or row fails with ``path:line``.
+    """
+    by_industry: dict[str, tuple[list[ProjectedPoint], dict[str, int]]] = {}
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["industry", "keyword", "x", "y", "cluster_id"]:
+            raise ValueError(f"{path}:1: expected header industry,keyword,x,y,cluster_id")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 5:
+                raise ValueError(f"{where}: expected 5 fields, got {len(row)}")
+            industry, keyword, x, y, cluster_id = row
+            try:
+                xy, label = (float(x), float(y)), int(cluster_id)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            points, labels = by_industry.setdefault(industry, ([], {}))
+            points.append(ProjectedPoint(keyword, None, xy))
+            labels[keyword] = label
+    written = []
+    for industry, (points, labels) in sorted(by_industry.items()):
+        svg_path = Path(out_dir) / f"scatter_{_safe_name(industry)}.svg"
+        svg_path.parent.mkdir(parents=True, exist_ok=True)
+        emit_scatter_svg(points, labels, svg_path)
         written.append(svg_path)
     return written
 
@@ -486,12 +505,12 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
 
     if not extras:
         interim = stage("candidates", build_model)
+        # with no curated lists, streams hold the base-filtered tokens
         candidates = stage(
             "candidates",
             generate_stopword_candidates,
-            corpus,
+            streams,
             ReferenceEmbedder(interim),
-            base,
             30,
             config.top_n,
         )

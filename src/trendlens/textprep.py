@@ -51,10 +51,6 @@ class TokenStream:
     doc_id: str
     tokens: tuple[str, ...]
 
-    @classmethod
-    def from_text(cls, doc_id: str, text: str) -> "TokenStream":
-        return cls(doc_id, tuple(tokenize(text)))
-
 
 @dataclass(frozen=True)
 class StopwordList:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .keywords import Embedder, ExtractionResult, extract_keywords
-from .textprep import StopwordList, TokenStream, tokenize
+from .textprep import TokenStream
 
 __all__ = [
     "KeywordFrequencyTable",
@@ -73,24 +73,23 @@ def select_top_percent(table: KeywordFrequencyTable, percent: float) -> list[str
 
 
 def generate_stopword_candidates(
-    corpus: Corpus,
+    streams: Sequence[TokenStream],
     embedder: Embedder,
-    stopwords_base: StopwordList,
     top_k: int = 30,
     top_n: int = 5,
 ) -> list[tuple[str, int]]:
     """Corpus-wide stopword candidates: extract keywords from every
-    document (base stopwords only), then rank by document frequency.
+    stream, then rank by document frequency.
 
-    The output is meant for human curation; nothing is auto-promoted to a
-    stopword list.
+    ``streams`` are the documents' tokens with the base stopwords already
+    removed.  The output is meant for human curation; nothing is
+    auto-promoted to a stopword list.
     """
-    if len(corpus) == 0:
-        raise ValueError("corpus is empty")
+    if not streams:
+        raise ValueError("no token streams")
     freq: Counter = Counter()
-    for doc in corpus:
-        stream = TokenStream(doc.id, tuple(tokenize(doc.abstract)))
-        result = extract_keywords(stream, embedder, [stopwords_base], top_n)
+    for stream in streams:
+        result = extract_keywords(stream, embedder, (), top_n)
         freq.update({ks.keyword for ks in result.keywords})
     ranked = sorted(freq.items(), key=lambda kc: (-kc[1], kc[0]))
     return ranked[:top_k]

@@ -27,7 +27,7 @@ from trendlens.embedding import (
 from trendlens.keywords import ReferenceEmbedder, extract_keywords
 from trendlens.pipeline import resolve_config, run_pipeline
 from trendlens.query import And, Or, Phrase, eval_query, parse_query, serialize_query
-from trendlens.textprep import StopwordList, TokenStream, tokenize
+from trendlens.textprep import StopwordList, TokenStream, filter_stopwords, tokenize
 from trendlens.trends import (
     ProjectedPoint,
     cluster_points,
@@ -328,7 +328,8 @@ def test_c08_stopword_induction_and_curation():
         result = extract_keywords(stream, embedder, [base], 2)
         assert "method" in {ks.keyword for ks in result.keywords}
 
-    candidates = generate_stopword_candidates(corpus, embedder, base, top_k=30, top_n=2)
+    streams = [filter_stopwords(TokenStream(d.id, tuple(tokenize(d.abstract))), base) for d in corpus]
+    candidates = generate_stopword_candidates(streams, embedder, top_k=30, top_n=2)
     ranked = dict(candidates)
     assert "method" in ranked and ranked["method"] == len(corpus)
 

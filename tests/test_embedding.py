@@ -486,6 +486,16 @@ class TestModelFiles:
         loaded = load_model(path)
         np.testing.assert_array_equal(loaded.output_vectors, model.output_vectors)
 
+    def test_exact_bytes(self, tmp_path):
+        rows = np.array([[0.1, 1e-300], [-7.5, np.float32(0.1)]])
+        model = EmbeddingModel(Vocabulary(("a", "b")), rows, -rows, None, seed=3)
+        path = tmp_path / "m.w2v"
+        save_model(model, path, full=True)
+        assert path.read_bytes() == (
+            b"trendlens-w2v 1 2 2 3\na 0.1 1e-300\nb -7.5 0.10000000149011612\n"
+            b"#output\na -0.1 -1e-300\nb 7.5 -0.10000000149011612\n"
+        )
+
     def test_header_parsed(self, tmp_path):
         path = tmp_path / "m.w2v"
         path.write_text("trendlens-w2v 1 2 3 7\nfoo 1.0 2.0 3.0\nbar 0.5 0.25 0.125\n")

@@ -106,6 +106,36 @@ class TestFileEmbedder:
         with pytest.raises(ValueError, match="whitespace"):
             save_document_vectors({"bad id": np.zeros(2)}, tmp_path / "d.vec")
 
+    def test_zero_dimension_not_written(self, tmp_path):
+        with pytest.raises(ValueError, match="positive dimension"):
+            save_document_vectors({"D1": np.zeros(0)}, tmp_path / "d.vec")
+
+    def test_docvec_exact_bytes(self, tmp_path):
+        path = tmp_path / "d.vec"
+        vectors = {"A": np.array([0.1, 1e-300]), "B": np.array([-7.5, 0.1], dtype=np.float32)}
+        save_document_vectors(vectors, path)
+        assert path.read_bytes() == (
+            b"trendlens-docvec 1 2 2\nA 0.1 1e-300\nB -7.5 0.10000000149011612\n"
+        )
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            ("-1 2\n", "bad header (N=-1, D=2)"),
+            ("1 0\nA\n", "bad header (N=1, D=0)"),
+            ("2 2\nA 0.1 0.2\nA 0.3 0.4\n", "duplicate doc 'A'"),
+            ("2 2\nA 0.1 0.2\nB 0.3\n", "doc 'B': expected 2 values, got 1"),
+            ("2 2\nA 0.1 0.2\nB 0.3 1d5\n", "doc 'B': malformed float"),
+            ("3 2\nA 0.1 0.2\nB 0.3 0.4\n", "unexpected end of file in document block"),
+            ("1 2\nA 0.1 0.2\nB 0.3 0.4\n", "unexpected extra line 'B 0.3 0.4'"),
+        ],
+    )
+    def test_docvec_malformed_names_path_and_doc(self, tmp_path, body, error):
+        path = tmp_path / "d.vec"
+        path.write_text("trendlens-docvec 1 " + body)
+        with pytest.raises(ModelFormatError, match=re.escape(f"{path}: {error}")):
+            load_document_vectors(path)
+
     def test_file_embedder_reproduces_reference_extraction(self, tmp_path):
         model = random_model(40, 6, seed=5)
         rng = np.random.default_rng(6)
@@ -242,4 +272,19 @@ class TestExtractionCsv:
         path = tmp_path / "k.csv"
         path.write_text("nope\n")
         with pytest.raises(ValueError, match="header"):
+            load_extractions(path)
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ("D2,1,beta,abc", "score 'abc' is not a finite number"),
+            ("D2,1,beta", "expected 4 fields, got 3"),
+            ("D2,1,beta,nan", "score 'nan' is not a finite number"),
+            ("D2,1,beta,-inf", "score '-inf' is not a finite number"),
+        ],
+    )
+    def test_malformed_row_names_path_and_line(self, tmp_path, row, error):
+        path = tmp_path / "k.csv"
+        path.write_text(f"doc_id,rank,keyword,score\nD1,1,alpha,0.5\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: {error}")):
             load_extractions(path)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from trendlens.corpus import Corpus, PatentDocument
 from trendlens.keywords import ExtractionResult, KeywordScore
-from trendlens.textprep import StopwordList
+from trendlens.textprep import StopwordList, TokenStream, filter_stopwords, tokenize
 from trendlens.trends import (
     KeywordFrequencyTable,
     ProjectedPoint,
@@ -20,6 +20,11 @@ from trendlens.trends import (
 
 def doc(doc_id, industry, abstract="placeholder text"):
     return PatentDocument(doc_id, industry, 2018, "", abstract)
+
+
+def base_streams(corpus, base):
+    """Each document's tokens with the base stopwords removed."""
+    return [filter_stopwords(TokenStream(d.id, tuple(tokenize(d.abstract))), base) for d in corpus]
 
 
 def extraction(doc_id, *keywords):
@@ -163,7 +168,9 @@ class TestStopwordCandidates:
             docs.append(doc(f"D{i}", "medical", f"method {word} {word}"))
         corpus = Corpus(tuple(docs))
         base = StopwordList((), "base")
-        candidates = generate_stopword_candidates(corpus, HandEmbedder(vectors), base, top_k=30, top_n=5)
+        candidates = generate_stopword_candidates(
+            base_streams(corpus, base), HandEmbedder(vectors), top_k=30, top_n=5
+        )
         ranked = dict(candidates)
         assert ranked["method"] == 8  # document frequency equals corpus size
 
@@ -171,19 +178,18 @@ class TestStopwordCandidates:
         vectors = {"alpha": [1.0, 0.0], "beta": [0.0, 1.0]}
         corpus = Corpus((doc("D0", "medical", "alpha beta"),))
         candidates = generate_stopword_candidates(
-            corpus, HandEmbedder(vectors), StopwordList((), "base"), top_k=30, top_n=5
+            base_streams(corpus, StopwordList((), "base")), HandEmbedder(vectors), top_k=30, top_n=5
         )
         assert {k for k, _ in candidates} <= {"alpha", "beta"}
 
     def test_curated_list_suppresses_token(self):
         from trendlens.keywords import extract_keywords
-        from trendlens.textprep import TokenStream, tokenize
 
         vectors = {"method": [1.0, 0.0], "scan": [0.8, 0.6], "image": [0.6, 0.8]}
         corpus = Corpus(tuple(doc(f"D{i}", "medical", "method scan image") for i in range(4)))
         embedder = HandEmbedder(vectors)
         base = StopwordList((), "base")
-        candidates = generate_stopword_candidates(corpus, embedder, base, top_k=30)
+        candidates = generate_stopword_candidates(base_streams(corpus, base), embedder, top_k=30)
         assert "method" in {k for k, _ in candidates}
 
         curated = StopwordList(("method",), "curated")
@@ -197,14 +203,14 @@ class TestStopwordCandidates:
         docs = [doc(f"D{i}", "m", " ".join(f"w{j:02d}" for j in range(i, i + 10))) for i in range(30)]
         corpus = Corpus(tuple(docs))
         candidates = generate_stopword_candidates(
-            corpus, HandEmbedder(vectors), StopwordList((), "base"), top_k=30, top_n=10
+            base_streams(corpus, StopwordList((), "base")), HandEmbedder(vectors), top_k=30, top_n=10
         )
         assert len(candidates) == 30
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             generate_stopword_candidates(
-                Corpus(()), HandEmbedder({"a": [1.0, 0.0]}), StopwordList((), "base")
+                base_streams(Corpus(()), StopwordList((), "base")), HandEmbedder({"a": [1.0, 0.0]})
             )
 
 
