@@ -18,17 +18,12 @@ from pathlib import Path
 from . import __version__
 from .corpus import load_corpus, save_corpus, filter_corpus
 from .embedding import load_model, save_model, train
-from .keywords import (
-    FileEmbedder,
-    ReferenceEmbedder,
-    extract_keywords,
-    load_extractions,
-    save_extractions,
-)
+from .keywords import FileEmbedder, ReferenceEmbedder, load_extractions
 from .pipeline import (
     _TRAIN_TYPES,
     CurationRequired,
     PipelineStageError,
+    _extract,
     _load_stopwords,
     _prep_streams,
     _train_config,
@@ -188,12 +183,7 @@ def cmd_extract(args) -> int:
         embedder = FileEmbedder.from_files(args.doc_vectors, args.word_vectors)
     else:
         raise ValueError("--model or both --doc-vectors and --word-vectors are required")
-    streams = _input_streams(args)
-    results = [extract_keywords(s, embedder, (), args.top_n) for s in streams]
-    save_extractions(results, args.out)
-    skipped = sum(1 for r in results if r.warning)
-    if skipped:
-        log.warning("%d document(s) had no scoreable keywords", skipped)
+    _extract(_input_streams(args), embedder, args.top_n, args.out)
     return EXIT_OK
 
 

@@ -183,24 +183,23 @@ def build_vocab(streams: Iterable[TokenStream], min_count: int) -> Vocabulary:
     return Vocabulary(tuple(words), tuple(kept_counts))
 
 
-def generate_pairs(stream: TokenStream, vocab: Vocabulary, window: int) -> list[ContextPair]:
-    """Enumerate (center, context) index pairs within a fixed window.
+def generate_pairs(stream: TokenStream, vocab: Vocabulary, window: int) -> np.ndarray:
+    """(center, context) index pairs within a fixed window, as an (n, 2) array.
 
     Out-of-vocabulary tokens are removed before windowing, so surviving
-    neighbors see each other across the gap.  The window is fixed width,
-    so the enumeration is deterministic.
+    neighbors see each other across the gap.  Rows are ordered by center
+    position, then context position, so the enumeration is deterministic.
     """
     if window < 1:
         raise ValueError("window must be positive")
-    ids = [vocab.index[t] for t in stream.tokens if t in vocab.index]
-    pairs: list[ContextPair] = []
-    for i, center in enumerate(ids):
-        lo = max(0, i - window)
-        hi = min(len(ids), i + window + 1)
-        for j in range(lo, hi):
-            if j != i:
-                pairs.append(ContextPair(center, ids[j]))
-    return pairs
+    index = vocab.index
+    ids = np.array([index[t] for t in stream.tokens if t in index], dtype=np.intp)
+    reach = min(window, len(ids) - 1)
+    offsets = np.array([d for d in range(-reach, reach + 1) if d], dtype=np.intp)
+    positions = np.arange(len(ids))[:, None] + offsets  # context position per (center, offset)
+    valid = (positions >= 0) & (positions < len(ids))
+    centers = np.broadcast_to(ids[:, None], positions.shape)[valid]
+    return np.stack([centers, ids[positions[valid]]], axis=1)
 
 
 def softmax_output(scores: np.ndarray) -> np.ndarray:
@@ -324,15 +323,6 @@ def pair_loss_and_gradients(
     return loss, grads
 
 
-def _all_pairs(streams: Sequence[TokenStream], vocab: Vocabulary, window: int) -> np.ndarray:
-    pairs: list[ContextPair] = []
-    for stream in streams:
-        pairs.extend(generate_pairs(stream, vocab, window))
-    if not pairs:
-        return np.empty((0, 2), dtype=np.intp)
-    return np.asarray(pairs, dtype=np.intp)
-
-
 def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel:
     """Train a skip-gram model over tokenized streams.
 
@@ -363,7 +353,7 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
         train_streams=len(streams),
         train_tokens=sum(len(s.tokens) for s in streams),
     )
-    pairs = _all_pairs(streams, vocab, config.window)
+    pairs = np.concatenate([generate_pairs(s, vocab, config.window) for s in streams])
     total_steps = config.epochs * len(pairs)
     if total_steps == 0:
         return model

@@ -14,7 +14,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .embedding import (
     load_model,
     save_document_vectors,
 )
-from .textprep import StopwordList, TokenStream, stopword_union
+from .textprep import TokenStream
 
 __all__ = [
     "Embedder",
@@ -133,30 +133,25 @@ class FileEmbedder:
         return self._docs.get(stream.doc_id)
 
 
-def extract_keywords(
-    stream: TokenStream,
-    embedder: Embedder,
-    stopwords: Iterable[StopwordList] = (),
-    top_n: int = 5,
-) -> ExtractionResult:
+def extract_keywords(stream: TokenStream, embedder: Embedder, top_n: int = 5) -> ExtractionResult:
     """Score the document's candidate words against its document vector.
 
-    Candidates are the unique non-stopword tokens the embedder knows.  A
-    document with nothing scoreable yields an empty result carrying a
-    warning instead of an error.
+    Streams arrive stopword-filtered (see ``filter_stopwords``), so every
+    token counts: candidates are the unique tokens the embedder knows, and
+    the document vector is taken over the whole stream.  A document with
+    nothing scoreable yields an empty result carrying a warning instead of
+    an error.
     """
     if top_n < 1:
         raise ValueError("top_n must be positive")
-    stop = stopword_union(stopwords)
-    filtered = tuple(t for t in stream.tokens if t not in stop)
     candidates = [
         (token, vec)
-        for token in sorted(set(filtered))
+        for token in sorted(set(stream.tokens))
         if (vec := embedder.embed_word(token)) is not None
     ]
     if not candidates:
         return ExtractionResult(stream.doc_id, (), warning="no scoreable candidates")
-    doc_vec = embedder.embed_document(TokenStream(stream.doc_id, filtered))
+    doc_vec = embedder.embed_document(stream)
     if doc_vec is None:
         return ExtractionResult(stream.doc_id, (), warning="no document vector")
     if not np.linalg.norm(doc_vec) > 0:
@@ -204,21 +199,17 @@ def load_extractions(path: str | Path) -> list[ExtractionResult]:
     return [ExtractionResult(doc_id, tuple(kws)) for doc_id, kws in grouped.items()]
 
 
-def document_vectors(
-    embedder: Embedder, streams: Sequence[TokenStream], stopwords: Iterable[StopwordList] = ()
-) -> dict[str, np.ndarray]:
+def document_vectors(embedder: Embedder, streams: Sequence[TokenStream]) -> dict[str, np.ndarray]:
     """Document vectors as extraction would compute them, keyed by doc id.
 
     Documents with no embeddable content are skipped, mirroring the
     warning path of :func:`extract_keywords`.
     """
-    stop = stopword_union(stopwords)
     out: dict[str, np.ndarray] = {}
     for stream in streams:
-        filtered = tuple(t for t in stream.tokens if t not in stop)
-        if not any(embedder.embed_word(t) is not None for t in set(filtered)):
+        if not any(embedder.embed_word(t) is not None for t in set(stream.tokens)):
             continue
-        vec = embedder.embed_document(TokenStream(stream.doc_id, filtered))
+        vec = embedder.embed_document(stream)
         if vec is not None:
             out[stream.doc_id] = vec
     return out

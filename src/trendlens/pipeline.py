@@ -19,7 +19,7 @@ from typing import Any, Iterable
 
 from .corpus import Corpus, load_corpus, filter_corpus
 from .embedding import EmbeddingModel, TrainConfig, cosine_similarity, load_model, save_model, train
-from .keywords import ExtractionResult, ReferenceEmbedder, extract_keywords, save_extractions
+from .keywords import Embedder, ExtractionResult, ReferenceEmbedder, extract_keywords, save_extractions
 from .query import parse_query
 from .svgplot import emit_scatter_svg
 from .textprep import (
@@ -102,19 +102,30 @@ class PipelineConfig:
 
 
 _TRAIN_TYPES = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
-_TOP_KEYS = {
-    "corpus",
-    "format",
-    "query",
-    "base_stopwords",
-    "extra_stopwords",
-    "model",
-    "top_n",
-    "top_percent",
-    "cluster_threshold",
-    "anchors",
-    "out_dir",
-}
+# top-level config keys and their types; only the _NULLABLE ones may be null
+_TOP_TYPES = dict(
+    corpus=str, format=str, query=str, base_stopwords=str, extra_stopwords=list, model=str,
+    top_n=int, top_percent=float, cluster_threshold=float, anchors=dict, out_dir=str,
+)
+_NULLABLE = {"format", "query", "base_stopwords", "model"}
+_TYPE_NAMES = {list: "list of strings", dict: "object of strings"}
+
+
+def _check_types(values: dict[str, Any], source: str) -> None:
+    """Raise ValueError naming the key and ``source`` for a mistyped value:
+    a float key takes any number, a list holds strings, a dict maps to
+    strings, and no key takes a bool."""
+    for key, value in values.items():
+        expected = _TRAIN_TYPES.get(key) or _TOP_TYPES[key]
+        if value is None and key in _NULLABLE:
+            continue
+        allowed = (int, float) if expected is float else expected
+        ok = isinstance(value, allowed) and not isinstance(value, bool)
+        if ok and expected in (list, dict):
+            ok = all(isinstance(v, str) for v in (value.values() if expected is dict else value))
+        if not ok:
+            name = _TYPE_NAMES.get(expected, expected.__name__)
+            raise ValueError(f"{source}: {key!r} must be of type {name}, got {value!r}")
 
 
 def _train_config(values: dict[str, Any], env_seed: str | None, source: str) -> TrainConfig:
@@ -130,13 +141,7 @@ def _train_config(values: dict[str, Any], env_seed: str | None, source: str) -> 
             values["seed"] = int(env_seed)
         except ValueError:
             raise ValueError(f"TRENDLENS_SEED must be an integer, got {env_seed!r}") from None
-    for key, value in values.items():
-        expected = _TRAIN_TYPES[key]
-        allowed = (int, float) if expected is float else expected
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise ValueError(
-                f"{source}: {key!r} must be of type {expected.__name__}, got {value!r}"
-            )
+    _check_types(values, source)
     config = TrainConfig(**values)
     config.validate()
     return config
@@ -163,6 +168,19 @@ def _prep_streams(corpus: Corpus, *stopwords: StopwordList) -> list[TokenStream]
     ]
 
 
+def _extract(
+    streams: list[TokenStream], embedder: Embedder, top_n: int, path: str | Path
+) -> list[ExtractionResult]:
+    """Extract, save to ``path`` and log how many documents had nothing to
+    score; private for the reason :func:`_prep_streams` is."""
+    results = [extract_keywords(s, embedder, top_n) for s in streams]
+    save_extractions(results, path)
+    skipped = sum(1 for r in results if r.warning)
+    if skipped:
+        log.warning("%d document(s) had no scoreable keywords", skipped)
+    return results
+
+
 def resolve_config(
     config_path: str | Path | None,
     overrides: dict[str, Any] | None = None,
@@ -184,9 +202,10 @@ def resolve_config(
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ValueError(f"{config_path}: config must be a JSON object")
-        unknown = set(file_values) - _TOP_KEYS - _TRAIN_TYPES.keys()
+        unknown = set(file_values) - _TOP_TYPES.keys() - _TRAIN_TYPES.keys()
         if unknown:
             raise ValueError(f"{config_path}: unknown config key(s): {', '.join(sorted(unknown))}")
+        _check_types(file_values, str(config_path))
 
     merged: dict[str, Any] = dict(file_values)
     for key, value in (overrides or {}).items():
@@ -220,7 +239,7 @@ def resolve_config(
         ),
         model=_resolve_path("model", merged["model"]) if merged.get("model") else None,
         train=_train_config(train_values, env_seed, str(config_path or "config")),
-        top_n=int(merged.get("top_n", 5)),
+        top_n=merged.get("top_n", 5),
         top_percent=float(merged.get("top_percent", 5.0)),
         cluster_threshold=float(merged.get("cluster_threshold", 1.0)),
         anchors=dict(merged.get("anchors", {})),
@@ -347,7 +366,8 @@ def plot_projection(path: str | Path, out_dir: str | Path) -> list[Path]:
 
     Plots read the 6-decimal coordinates the CSV holds, so the pipeline
     and a staged ``plot`` write the same bytes.  A header-only file plots
-    nothing; a malformed header or row fails with ``path:line``.
+    nothing; a malformed header or row fails with ``path:line``, and two
+    industries whose names map to one plot file fail before any is written.
     """
     by_industry: dict[str, tuple[list[ProjectedPoint], dict[str, int]]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
@@ -367,11 +387,19 @@ def plot_projection(path: str | Path, out_dir: str | Path) -> list[Path]:
             points, labels = by_industry.setdefault(industry, ([], {}))
             points.append(ProjectedPoint(keyword, None, xy))
             labels[keyword] = label
+    plots: dict[str, str] = {}  # file name -> industry
+    for industry in sorted(by_industry):
+        name = f"scatter_{_safe_name(industry)}.svg"
+        if name in plots:
+            raise ValueError(
+                f"{path}: industries {plots[name]!r} and {industry!r} would both plot to {name}"
+            )
+        plots[name] = industry
     written = []
-    for industry, (points, labels) in sorted(by_industry.items()):
-        svg_path = Path(out_dir) / f"scatter_{_safe_name(industry)}.svg"
+    for name, industry in plots.items():
+        svg_path = Path(out_dir) / name
         svg_path.parent.mkdir(parents=True, exist_ok=True)
-        emit_scatter_svg(points, labels, svg_path)
+        emit_scatter_svg(*by_industry[industry], svg_path)
         written.append(svg_path)
     return written
 
@@ -531,12 +559,9 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
             model.train_tokens,
         )
 
-    embedder = ReferenceEmbedder(model)
     results = stage(
-        "extract",
-        lambda: [extract_keywords(s, embedder, (), config.top_n) for s in streams],
+        "extract", _extract, streams, ReferenceEmbedder(model), config.top_n, out_dir / "keywords.csv"
     )
-    stage("extract", save_extractions, results, out_dir / "keywords.csv")
 
     report = stage(
         "analyze",

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "TokenStream",
@@ -83,14 +83,9 @@ class StopwordList:
         return len(self.entries)
 
 
-def stopword_union(lists: Iterable[StopwordList]) -> frozenset:
-    sets = [sl._set for sl in lists]
-    return frozenset().union(*sets) if sets else frozenset()
-
-
 def filter_stopwords(stream: TokenStream, *lists: StopwordList) -> TokenStream:
     """Drop every token that appears in any of the given lists."""
-    stop = stopword_union(lists)
+    stop = frozenset().union(*(sl._set for sl in lists))
     return TokenStream(stream.doc_id, tuple(t for t in stream.tokens if t not in stop))
 
 
@@ -133,6 +128,9 @@ def save_token_streams(streams: Sequence[TokenStream], path: str | Path) -> None
 
 
 def load_token_streams(path: str | Path) -> list[TokenStream]:
+    """Read streams written by :func:`save_token_streams`.  A malformed record,
+    or a token a model file cannot hold (empty or not lowercase alphanumeric,
+    the rule of StopwordList entries), fails with ``path:line``."""
     streams: list[TokenStream] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -149,5 +147,8 @@ def load_token_streams(path: str | Path) -> list[TokenStream]:
                 raise ValueError(f"{path}:{lineno}: 'id' must be a non-empty string")
             if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
                 raise ValueError(f"{path}:{lineno}: 'tokens' must be a list of strings")
+            bad = next((t for t in tokens if not (t.isalnum() and t == t.lower())), None)
+            if bad is not None:
+                raise ValueError(f"{path}:{lineno}: token {bad!r} is not lowercase alphanumeric")
             streams.append(TokenStream(doc_id, tuple(tokens)))
     return streams

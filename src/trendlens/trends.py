@@ -89,7 +89,7 @@ def generate_stopword_candidates(
         raise ValueError("no token streams")
     freq: Counter = Counter()
     for stream in streams:
-        result = extract_keywords(stream, embedder, (), top_n)
+        result = extract_keywords(stream, embedder, top_n)
         freq.update({ks.keyword for ks in result.keywords})
     ranked = sorted(freq.items(), key=lambda kc: (-kc[1], kc[0]))
     return ranked[:top_k]

@@ -204,7 +204,7 @@ def test_c05_extraction_matches_brute_force_oracle():
         tokens = list(rng.choice(words, size=20)) + list(rng.choice(tie_pool, size=4)) + ["oov"]
         rng.shuffle(tokens)
         doc = TokenStream(f"D{i}", tuple(tokens))
-        result = extract_keywords(doc, embedder, (), 10)
+        result = extract_keywords(doc, embedder, 10)
 
         candidates = sorted({t for t in tokens if t in vocab.index})
         rows = [matrix[vocab.index[t]] for t in tokens if t in vocab.index]
@@ -324,8 +324,8 @@ def test_c08_stopword_induction_and_curation():
 
     # the planted token tops each document's extraction
     for doc in corpus:
-        stream = TokenStream(doc.id, tuple(tokenize(doc.abstract)))
-        result = extract_keywords(stream, embedder, [base], 2)
+        stream = filter_stopwords(TokenStream(doc.id, tuple(tokenize(doc.abstract))), base)
+        result = extract_keywords(stream, embedder, 2)
         assert "method" in {ks.keyword for ks in result.keywords}
 
     streams = [filter_stopwords(TokenStream(d.id, tuple(tokenize(d.abstract))), base) for d in corpus]
@@ -335,8 +335,8 @@ def test_c08_stopword_induction_and_curation():
 
     curated = StopwordList(("method",), "curated")
     for doc in corpus:
-        stream = TokenStream(doc.id, tuple(tokenize(doc.abstract)))
-        result = extract_keywords(stream, embedder, [base, curated], 2)
+        stream = filter_stopwords(TokenStream(doc.id, tuple(tokenize(doc.abstract))), base, curated)
+        result = extract_keywords(stream, embedder, 2)
         assert "method" not in {ks.keyword for ks in result.keywords}
         assert result.keywords  # the topic word still comes through
 

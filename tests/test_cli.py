@@ -324,6 +324,18 @@ class TestPlotSubcommand:
             assert main(["plot", "--projection", str(projection), "--out-dir", str(tmp_path)]) == EXIT_FAILURE
             assert f"{projection}:{line}:" in caplog.text, text
 
+    def test_colliding_plot_names_fail_before_any_plot(self, tmp_path, caplog):
+        projection = tmp_path / "projection.csv"
+        rows = ["industry,keyword,x,y,cluster_id"]
+        for industry in ("Med-A", "Med A"):
+            rows += [f"{industry},w{i},0.{i},0.{i},0" for i in range(3)]
+        projection.write_text("\n".join(rows) + "\n")
+        out_dir = tmp_path / "plots"
+        assert main(["plot", "--projection", str(projection), "--out-dir", str(out_dir)]) == EXIT_FAILURE
+        assert f"{projection}: industries 'Med A' and 'Med-A'" in caplog.text
+        assert "scatter_med_a.svg" in caplog.text
+        assert not out_dir.exists() or not list(out_dir.iterdir())
+
 
 class TestPipelineConfigPrecedence:
     def test_flags_override_config(self, tmp_path):
@@ -364,3 +376,20 @@ class TestPipelineConfigPrecedence:
             caplog.clear()
             assert main(["pipeline", "--config", str(config)]) == EXIT_FAILURE
             assert f"unknown config key(s): {next(iter(extra))}" in caplog.text
+
+    def test_mistyped_config_value_is_failure(self, tmp_path, caplog):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"corpus": "x.jsonl", "top_n": "abc"}))
+        assert main(["pipeline", "--config", str(config)]) == EXIT_FAILURE
+        assert f"{config}: 'top_n' must be of type int, got 'abc'" in caplog.text
+
+    def test_tokens_file_token_a_model_cannot_hold_is_failure(self, tmp_path, caplog):
+        tokens, model = tmp_path / "tokens.jsonl", tmp_path / "model.w2v"
+        tokens.write_text(
+            '{"id": "a", "tokens": ["solar", "cell", "solar", "cell"]}\n'
+            '{"id": "b", "tokens": ["solar cell", "solar", "cell"]}\n'
+        )
+        argv = ["train", "--input", str(tokens), "--dim", "4", "--epochs", "1", "--out", str(model)]
+        assert main(argv) == EXIT_FAILURE
+        assert f"{tokens}:2: token 'solar cell'" in caplog.text
+        assert not model.exists()

@@ -67,7 +67,7 @@ class TestGeneratePairs:
     def test_window_one(self):
         vocab = build_vocab([stream("d", "a b c")], 1)
         pairs = generate_pairs(stream("d", "a b c"), vocab, window=1)
-        named = [(vocab.words[p.center], vocab.words[p.context]) for p in pairs]
+        named = [(vocab.words[c], vocab.words[x]) for c, x in pairs]
         assert named == [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")]
 
     def test_window_covers_all(self):
@@ -78,8 +78,42 @@ class TestGeneratePairs:
     def test_out_of_vocab_removed_before_windowing(self):
         vocab = Vocabulary(("a", "b"), (1, 1))
         pairs = generate_pairs(stream("d", "a x b"), vocab, window=1)
-        named = [(vocab.words[p.center], vocab.words[p.context]) for p in pairs]
+        named = [(vocab.words[c], vocab.words[x]) for c, x in pairs]
         assert named == [("a", "b"), ("b", "a")]
+
+
+def oracle_pairs(stream, vocab, window):
+    """The per-pair double loop generate_pairs replaced: (center, context)
+    tuples ordered by center position, then context position."""
+    ids = [vocab.index[t] for t in stream.tokens if t in vocab.index]
+    pairs = []
+    for i, center in enumerate(ids):
+        for j in range(max(0, i - window), min(len(ids), i + window + 1)):
+            if j != i:
+                pairs.append((center, ids[j]))
+    return pairs
+
+
+class TestGeneratePairsMatchesOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_streams(self, seed):
+        rng = np.random.default_rng(seed)
+        vocab = Vocabulary(tuple(f"w{i}" for i in range(8)), (1,) * 8)
+        lexicon = list(vocab.words) + ["oov1", "oov2"]  # out-of-vocabulary gaps
+        for length in (0, 1, 2, 3, 7, 20):
+            tokens = tuple(rng.choice(lexicon, size=length))
+            for window in (1, 2, 3, 5, length + 1, length + 10):
+                s = TokenStream("d", tokens)
+                pairs = generate_pairs(s, vocab, window)
+                expected = oracle_pairs(s, vocab, window)
+                assert pairs.shape == (len(expected), 2)
+                assert np.issubdtype(pairs.dtype, np.integer)
+                assert pairs.tolist() == [list(p) for p in expected]
+
+    def test_all_out_of_vocabulary(self):
+        vocab = Vocabulary(("a",), (1,))
+        pairs = generate_pairs(stream("d", "x y z"), vocab, window=2)
+        assert pairs.shape == (0, 2) and np.issubdtype(pairs.dtype, np.integer)
 
 
 class TestSoftmax:
@@ -351,7 +385,7 @@ def oracle_train(streams, config):
     V, D = len(vocab), config.dim
     rng = np.random.default_rng(config.seed)
     model = EmbeddingModel(vocab, (rng.random((V, D)) - 0.5) / D, np.zeros((V, D)), config, config.seed)
-    pairs = [p for s in streams for p in generate_pairs(s, vocab, config.window)]
+    pairs = [p for s in streams for p in oracle_pairs(s, vocab, config.window)]
     total_steps = config.epochs * len(pairs)
     weights = np.asarray(vocab.counts, dtype=np.float64) ** 0.75
     cum = np.cumsum(weights / weights.sum())

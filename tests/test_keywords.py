@@ -22,7 +22,7 @@ from trendlens.keywords import (
     save_document_vectors,
     save_extractions,
 )
-from trendlens.textprep import StopwordList, TokenStream
+from trendlens.textprep import StopwordList, TokenStream, filter_stopwords
 
 
 def model_from(vectors: dict, dim=None, seed=0):
@@ -149,13 +149,13 @@ class TestFileEmbedder:
         save_model(model, word_path)
         from_files = FileEmbedder.from_files(doc_path, word_path)
         for s in streams:
-            assert extract_keywords(s, reference, (), 5) == extract_keywords(s, from_files, (), 5)
+            assert extract_keywords(s, reference, 5) == extract_keywords(s, from_files, 5)
 
 
 class TestExtract:
     def test_single_repeated_token_scores_one(self):
         model = model_from({"solar": [3.0, 4.0]})
-        result = extract_keywords(stream("solar", "solar", "solar"), ReferenceEmbedder(model), (), 5)
+        result = extract_keywords(stream("solar", "solar", "solar"), ReferenceEmbedder(model), 5)
         assert [(ks.keyword, ks.score) for ks in result.keywords] == [("solar", 1.0)]
 
     def test_matches_brute_force_oracle(self):
@@ -165,7 +165,7 @@ class TestExtract:
         for i in range(100):
             tokens = tuple(rng.choice(vocab_words + ["oov1", "oov2"], size=15))
             doc = TokenStream(f"D{i}", tokens)
-            result = extract_keywords(doc, ReferenceEmbedder(model), (), 5)
+            result = extract_keywords(doc, ReferenceEmbedder(model), 5)
 
             # independent oracle: score every candidate, fully sort, truncate
             known = sorted({t for t in tokens if t in model.vocab.index})
@@ -181,45 +181,45 @@ class TestExtract:
     def test_ties_break_lexicographically(self):
         shared = [0.6, 0.8]
         model = model_from({"zeta": shared, "alpha": shared, "mid": [1.0, 0.0]})
-        result = extract_keywords(stream("zeta", "alpha", "mid"), ReferenceEmbedder(model), (), 3)
+        result = extract_keywords(stream("zeta", "alpha", "mid"), ReferenceEmbedder(model), 3)
         keywords = [ks.keyword for ks in result.keywords]
         assert keywords.index("alpha") < keywords.index("zeta")
 
     def test_stopwords_excluded_from_candidates(self):
         model = model_from({"the": [1.0, 0.0], "signal": [0.9, 0.1]})
         stop = StopwordList(("the",), "base")
-        result = extract_keywords(stream("the", "signal"), ReferenceEmbedder(model), [stop], 5)
+        result = extract_keywords(filter_stopwords(stream("the", "signal"), stop), ReferenceEmbedder(model), 5)
         assert [ks.keyword for ks in result.keywords] == ["signal"]
 
     def test_no_candidates_warns_not_raises(self):
         model = model_from({"a": [1.0, 0.0]})
-        result = extract_keywords(stream("x", "y"), ReferenceEmbedder(model), (), 5)
+        result = extract_keywords(stream("x", "y"), ReferenceEmbedder(model), 5)
         assert result.keywords == ()
         assert result.warning is not None
 
     def test_all_stopwords_warns(self):
         model = model_from({"a": [1.0, 0.0]})
         stop = StopwordList(("a",), "base")
-        result = extract_keywords(stream("a", "a"), ReferenceEmbedder(model), [stop], 5)
+        result = extract_keywords(filter_stopwords(stream("a", "a"), stop), ReferenceEmbedder(model), 5)
         assert result.keywords == () and result.warning
 
     def test_top_n_truncates(self):
         model = random_model(20, 4, seed=8)
         doc = TokenStream("D", tuple(model.vocab.words))
-        result = extract_keywords(doc, ReferenceEmbedder(model), (), 3)
+        result = extract_keywords(doc, ReferenceEmbedder(model), 3)
         assert len(result.keywords) == 3
 
     def test_invalid_top_n(self):
         model = model_from({"a": [1.0, 0.0]})
         with pytest.raises(ValueError):
-            extract_keywords(stream("a"), ReferenceEmbedder(model), (), 0)
+            extract_keywords(stream("a"), ReferenceEmbedder(model), 0)
 
     def test_order_of_duplicate_tokens_irrelevant(self):
         model = random_model(10, 4, seed=9)
         words = list(model.vocab.words)[:6]
         tokens = words + words[:3]
-        a = extract_keywords(TokenStream("D", tuple(tokens)), ReferenceEmbedder(model), (), 4)
-        b = extract_keywords(TokenStream("D", tuple(reversed(tokens))), ReferenceEmbedder(model), (), 4)
+        a = extract_keywords(TokenStream("D", tuple(tokens)), ReferenceEmbedder(model), 4)
+        b = extract_keywords(TokenStream("D", tuple(reversed(tokens))), ReferenceEmbedder(model), 4)
         assert a.keywords == b.keywords
 
     def test_ranking_invariant_under_uniform_scaling(self):
@@ -230,8 +230,8 @@ class TestExtract:
         rng = np.random.default_rng(11)
         tokens = tuple(rng.choice(base.vocab.words, size=12))
         doc = TokenStream("D", tokens)
-        a = extract_keywords(doc, ReferenceEmbedder(base), (), 6)
-        b = extract_keywords(doc, ReferenceEmbedder(scaled), (), 6)
+        a = extract_keywords(doc, ReferenceEmbedder(base), 6)
+        b = extract_keywords(doc, ReferenceEmbedder(scaled), 6)
         assert [k.keyword for k in a.keywords] == [k.keyword for k in b.keywords]
 
     def test_result_invariants(self):
@@ -240,8 +240,8 @@ class TestExtract:
         stop = StopwordList(("w001", "w002"), "curated")
         for i in range(20):
             tokens = tuple(rng.choice(model.vocab.words, size=10))
-            doc = TokenStream(f"D{i}", tokens)
-            result = extract_keywords(doc, ReferenceEmbedder(model), [stop], 4)
+            doc = filter_stopwords(TokenStream(f"D{i}", tokens), stop)
+            result = extract_keywords(doc, ReferenceEmbedder(model), 4)
             scores = [ks.score for ks in result.keywords]
             assert scores == sorted(scores, reverse=True)
             assert len({ks.keyword for ks in result.keywords}) == len(result.keywords)

@@ -217,6 +217,22 @@ class TestCurationGate:
         assert "also_missing.txt" in str(err.value.__cause__)
         assert not (tmp_path / "o").exists()  # nothing written for a bad config
 
+    def test_colliding_plot_names_fail_in_report_stage(self, fixture_run, tmp_path):
+        # two industries whose names map to one scatter file
+        pipeline_dir, _ = fixture_run
+        records = [json.loads(line) for line in (FIXTURE / "corpus.jsonl").read_text().splitlines()]
+        medical = [r for r in records if r["industry"] == "medical"]
+        for i, record in enumerate(medical):
+            record["industry"] = "Med-A" if i % 2 else "Med A"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+        config = fixture_config(tmp_path / "o")
+        config.corpus, config.model = str(corpus), str(pipeline_dir / "model.w2v")
+        with pytest.raises(PipelineStageError, match="stage 'report'") as err:
+            run_pipeline(config)
+        assert "'Med A' and 'Med-A'" in str(err.value.__cause__)
+        assert not list((tmp_path / "o").glob("*.svg"))
+
     def test_stage_errors_name_the_stage(self, tmp_path):
         corpus = tmp_path / "bad.jsonl"
         corpus.write_text("{not json\n")
@@ -257,3 +273,31 @@ class TestResolveConfig:
                 resolve_config(config_path, {})
         config_path.write_text(json.dumps({"corpus": "x.jsonl", "learning_rate": 1}))
         assert resolve_config(config_path, {}).train.learning_rate == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("top_n", "abc"),
+        ("top_n", 2.9),
+        ("top_n", None),
+        ("top_percent", "5"),
+        ("cluster_threshold", True),
+        ("extra_stopwords", "curated_stopwords.txt"),
+        ("extra_stopwords", [1]),
+        ("anchors", ["medical"]),
+        ("anchors", {"medical": 1}),
+        ("corpus", None),
+        ("out_dir", 3),
+        ("format", 1),
+    ])
+    def test_mistyped_top_level_values_name_key_and_file(self, tmp_path, key, value):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({"corpus": "x.jsonl", key: value}))
+        with pytest.raises(ValueError, match=re.escape(f"{config_path}: '{key}' must be")):
+            resolve_config(config_path, {})
+
+    def test_null_allowed_for_optional_keys_only(self, tmp_path):
+        config_path = tmp_path / "c.json"
+        optional = {"format": None, "query": None, "base_stopwords": None, "model": None}
+        config_path.write_text(json.dumps({"corpus": "x.jsonl", **optional, "top_percent": 5}))
+        config = resolve_config(config_path, {})
+        assert (config.format, config.query, config.base_stopwords, config.model) == (None,) * 4
+        assert config.top_percent == 5.0 and isinstance(config.top_percent, float)

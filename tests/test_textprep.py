@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -142,3 +145,17 @@ class TestTokenStreamFiles:
         path.write_text('{"id": "a", "tokens": ["x"]}\n{"id": "b"}\n')
         with pytest.raises(ValueError, match=":2:"):
             load_token_streams(path)
+
+    @pytest.mark.parametrize("token", ["solar cell", "", "Solar", "solar-cell", "x\ty"])
+    def test_token_a_model_cannot_hold_names_line_and_token(self, tmp_path, token):
+        path = tmp_path / "t.jsonl"
+        bad = {"id": "b", "tokens": ["ok", token]}
+        path.write_text('{"id": "a", "tokens": ["x"]}\n' + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: token {token!r}")):
+            load_token_streams(path)
+
+    def test_unicode_alphanumeric_tokens_accepted(self, tmp_path):
+        streams = [TokenStream("a", ("café", "x9", "日本"))]
+        path = tmp_path / "t.jsonl"
+        save_token_streams(streams, path)
+        assert load_token_streams(path) == streams

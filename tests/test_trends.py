@@ -194,8 +194,8 @@ class TestStopwordCandidates:
 
         curated = StopwordList(("method",), "curated")
         for d in corpus:
-            stream = TokenStream(d.id, tuple(tokenize(d.abstract)))
-            result = extract_keywords(stream, embedder, [base, curated], 5)
+            stream = filter_stopwords(TokenStream(d.id, tuple(tokenize(d.abstract))), base, curated)
+            result = extract_keywords(stream, embedder, 5)
             assert "method" not in {ks.keyword for ks in result.keywords}
 
     def test_top_k_truncates(self):
