@@ -23,6 +23,7 @@ from .pipeline import (
     _TRAIN_TYPES,
     CurationRequired,
     PipelineStageError,
+    _check_ranges,
     _extract,
     _load_stopwords,
     _prep_streams,
@@ -344,6 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        _check_ranges(vars(args), "flags")
         return args.handler(args)
     except CurationRequired as exc:
         log.error("%s", exc)

@@ -21,7 +21,6 @@ import numpy as np
 from .embedding import (
     EmbeddingModel,
     ModelFormatError,
-    cosine_similarity,
     load_document_vectors,
     load_model,
     save_document_vectors,
@@ -39,7 +38,6 @@ __all__ = [
     "load_extractions",
     "save_document_vectors",
     "load_document_vectors",
-    "document_vectors",
 ]
 
 class Embedder(Protocol):
@@ -76,24 +74,24 @@ class ReferenceEmbedder:
         if len(model.vocab) == 0:
             raise ValueError("model vocabulary is empty")
         self.model = model
+        self._index = model.vocab.index
+        self._nonzero = model.input_vectors.any(axis=1).tolist()
 
     @property
     def dim(self) -> int:
         return self.model.dim
 
     def embed_word(self, token: str) -> np.ndarray | None:
-        if token not in self.model:
+        i = self._index.get(token)
+        if i is None or not self._nonzero[i]:
             return None
-        vec = self.model.vector(token)
-        if not vec.any():
-            return None
-        return vec
+        return self.model.input_vectors[i]
 
     def embed_document(self, stream: TokenStream) -> np.ndarray:
-        rows = [self.model.vector(t) for t in stream.tokens if t in self.model]
-        if not rows:
+        ids = [self._index[t] for t in stream.tokens if t in self._index]
+        if not ids:
             raise ValueError(f"document {stream.doc_id!r} has no in-vocabulary tokens")
-        return np.mean(rows, axis=0)
+        return self.model.input_vectors[ids].mean(axis=0)
 
 
 class FileEmbedder:
@@ -156,8 +154,18 @@ def extract_keywords(stream: TokenStream, embedder: Embedder, top_n: int = 5) ->
         return ExtractionResult(stream.doc_id, (), warning="no document vector")
     if not np.linalg.norm(doc_vec) > 0:
         return ExtractionResult(stream.doc_id, (), warning="zero-norm document vector")
-    scored = [(token, cosine_similarity(vec, doc_vec)) for token, vec in candidates]
-    scored.sort(key=lambda ts: (-ts[1], ts[0]))
+    tokens, vecs = zip(*candidates)
+    W = np.array(vecs, dtype=np.float64)
+    d = np.asarray(doc_vec, dtype=np.float64)
+    if d.ndim != 1 or W.shape[1:] != d.shape:
+        raise ValueError(f"vectors must share one dimension (got {W.shape[1:]} and {d.shape})")
+    # cosine_similarity's scores bit for bit: np.vecdot runs the dot loop of a
+    # 1-D a @ b, and norm(a) is sqrt(a.dot(a)); W @ d (BLAS gemv) would not be
+    norms = np.sqrt(np.vecdot(W, W))
+    if not norms.all():
+        raise ValueError("cosine similarity is undefined for zero-norm vectors")
+    scores = np.vecdot(W, d) / (norms * float(np.linalg.norm(d)))
+    scored = sorted(zip(tokens, scores.tolist()), key=lambda ts: (-ts[1], ts[0]))
     top = tuple(KeywordScore(t, s) for t, s in scored[:top_n])
     return ExtractionResult(stream.doc_id, top)
 
@@ -197,19 +205,3 @@ def load_extractions(path: str | Path) -> list[ExtractionResult]:
                 raise ValueError(f"{where}: score {score!r} is not a finite number")
             grouped.setdefault(doc_id, []).append(KeywordScore(keyword, value))
     return [ExtractionResult(doc_id, tuple(kws)) for doc_id, kws in grouped.items()]
-
-
-def document_vectors(embedder: Embedder, streams: Sequence[TokenStream]) -> dict[str, np.ndarray]:
-    """Document vectors as extraction would compute them, keyed by doc id.
-
-    Documents with no embeddable content are skipped, mirroring the
-    warning path of :func:`extract_keywords`.
-    """
-    out: dict[str, np.ndarray] = {}
-    for stream in streams:
-        if not any(embedder.embed_word(t) is not None for t in set(stream.tokens)):
-            continue
-        vec = embedder.embed_document(stream)
-        if vec is not None:
-            out[stream.doc_id] = vec
-    return out

@@ -109,6 +109,12 @@ _TOP_TYPES = dict(
 )
 _NULLABLE = {"format", "query", "base_stopwords", "model"}
 _TYPE_NAMES = {list: "list of strings", dict: "object of strings"}
+# the analysis values their stages accept, checked before anything is trained
+_TOP_RANGES = dict(
+    top_n=(lambda v: v >= 1, ">= 1"),
+    top_percent=(lambda v: 0 < v <= 100, "in (0, 100]"),
+    cluster_threshold=(lambda v: v > 0, "> 0"),
+)
 
 
 def _check_types(values: dict[str, Any], source: str) -> None:
@@ -126,6 +132,13 @@ def _check_types(values: dict[str, Any], source: str) -> None:
         if not ok:
             name = _TYPE_NAMES.get(expected, expected.__name__)
             raise ValueError(f"{source}: {key!r} must be of type {name}, got {value!r}")
+
+
+def _check_ranges(values: dict[str, Any], source: str) -> None:
+    """Raise ValueError naming the key and ``source`` for an out-of-range analysis value."""
+    for key, (ok, bound) in _TOP_RANGES.items():
+        if values.get(key) is not None and not ok(values[key]):
+            raise ValueError(f"{source}: {key!r} must be {bound}, got {values[key]!r}")
 
 
 def _train_config(values: dict[str, Any], env_seed: str | None, source: str) -> TrainConfig:
@@ -191,7 +204,8 @@ def resolve_config(
     Precedence: overrides (flags) > config file > TRENDLENS_SEED (for the
     seed only) > built-in defaults.  Relative input paths in the config
     file resolve against the config file's directory; the output directory
-    resolves against the working directory.
+    resolves against the working directory.  A mistyped value, or an
+    analysis value out of range, fails naming its key and source.
     """
     file_values: dict[str, Any] = {}
     base_dir: Path | None = None
@@ -206,6 +220,8 @@ def resolve_config(
         if unknown:
             raise ValueError(f"{config_path}: unknown config key(s): {', '.join(sorted(unknown))}")
         _check_types(file_values, str(config_path))
+        _check_ranges(file_values, str(config_path))
+    _check_ranges(overrides or {}, "flags")
 
     merged: dict[str, Any] = dict(file_values)
     for key, value in (overrides or {}).items():
@@ -344,21 +360,13 @@ def write_anchor_csv(report: TrendReport, path: Path) -> None:
 
 def write_report_files(report: TrendReport, out_dir: Path) -> list[Path]:
     """Emit CSVs, the JSON report, and one SVG per projected industry."""
-    written = []
-    freq_path = out_dir / "frequencies.csv"
+    names = ("frequencies.csv", "projection.csv", "anchor_similarity.csv", "trend_report.json")
+    freq_path, proj_path, anchor_path, report_path = (out_dir / name for name in names)
     write_frequencies_csv(report, freq_path)
-    written.append(freq_path)
-    proj_path = out_dir / "projection.csv"
     write_projection_csv(report, proj_path)
-    written.append(proj_path)
-    anchor_path = out_dir / "anchor_similarity.csv"
     write_anchor_csv(report, anchor_path)
-    written.append(anchor_path)
-    report_path = out_dir / "trend_report.json"
     report_path.write_text(report.to_json(), encoding="utf-8")
-    written.append(report_path)
-    written.extend(plot_projection(proj_path, out_dir))
-    return written
+    return [freq_path, proj_path, anchor_path, report_path, *plot_projection(proj_path, out_dir)]
 
 
 def plot_projection(path: str | Path, out_dir: str | Path) -> list[Path]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -24,6 +25,9 @@ __all__ = [
 
 STOPWORD_TIERS = ("base", "generated", "curated")
 
+# a run of characters for which str.isalnum() is true: \w less the underscore
+_WORD = re.compile(r"[^\W_]+")
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercase ``text`` and split it into alphanumeric tokens.
@@ -31,17 +35,7 @@ def tokenize(text: str) -> list[str]:
     Every character that is not a Unicode letter or digit acts as a
     separator, so "Deep-Learning, (AI)!" becomes [deep, learning, ai].
     """
-    tokens: list[str] = []
-    current: list[str] = []
-    for ch in text.lower():
-        if ch.isalnum():
-            current.append(ch)
-        elif current:
-            tokens.append("".join(current))
-            current = []
-    if current:
-        tokens.append("".join(current))
-    return tokens
+    return _WORD.findall(text.lower())
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,12 @@
 import csv
 import json
+from pathlib import Path
+
+import pytest
 
 from trendlens.cli import EXIT_CURATION, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+
+FIXTURE = Path("src/trendlens/data/fixture").resolve()
 
 
 def write_corpus(path, n=6):
@@ -393,3 +398,51 @@ class TestPipelineConfigPrecedence:
         assert main(argv) == EXIT_FAILURE
         assert f"{tokens}:2: token 'solar cell'" in caplog.text
         assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("top_n", 0), ("top_percent", 0), ("top_percent", -5), ("cluster_threshold", -1)]
+    )
+    def test_analysis_value_out_of_range_fails_before_training(self, tmp_path, caplog, key, value):
+        config = tmp_path / "config.json"
+        values = json.loads((FIXTURE / "config.json").read_text())
+        values.update(
+            corpus=str(FIXTURE / "corpus.jsonl"),
+            extra_stopwords=[str(FIXTURE / "curated_stopwords.txt")],
+            dim=8,
+            epochs=1,
+        )
+        config.write_text(json.dumps({**values, key: value}))
+        out_dir = tmp_path / "out"
+        assert main(["pipeline", "--config", str(config), "--out-dir", str(out_dir)]) == EXIT_FAILURE
+        assert f"{config}: '{key}' must be" in caplog.text
+        assert not out_dir.exists()
+
+
+class TestAnalysisFlagRanges:
+    @pytest.mark.parametrize(
+        "command, flags, error",
+        [
+            ("stopwords", ["--top-n", "0"], "'top_n' must be >= 1, got 0"),
+            ("extract", ["--model", "m.w2v", "--top-n", "-1"], "'top_n' must be >= 1, got -1"),
+            ("pipeline", ["--top-n", "0"], "'top_n' must be >= 1, got 0"),
+            ("analyze", ["--top-percent", "0"], "'top_percent' must be in (0, 100], got 0.0"),
+            ("analyze", ["--top-percent", "101"], "'top_percent' must be in (0, 100], got 101.0"),
+            ("pipeline", ["--top-percent", "-5"], "'top_percent' must be in (0, 100], got -5.0"),
+            ("analyze", ["--cluster-threshold", "-1"], "'cluster_threshold' must be > 0, got -1.0"),
+            ("pipeline", ["--cluster-threshold", "0"], "'cluster_threshold' must be > 0, got 0.0"),
+        ],
+    )
+    def test_out_of_range_flag_is_failure_naming_flag(self, tmp_path, caplog, command, flags, error):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, n=8)
+        out = tmp_path / "out"
+        inputs = {
+            "stopwords": ["--input", str(corpus), "--dim", "4", "--min-count", "1", "--out", str(out)],
+            "extract": ["--input", str(corpus), "--out", str(out)],
+            "analyze": ["--keywords", "k.csv", "--corpus", str(corpus), "--model", "m.w2v",
+                        "--out-dir", str(out)],
+            "pipeline": ["--corpus", str(corpus), "--dim", "4", "--min-count", "1", "--out-dir", str(out)],
+        }[command]
+        assert main([command, *inputs, *flags]) == EXIT_FAILURE
+        assert f"flags: {error}" in caplog.text
+        assert not out.exists()

@@ -8,6 +8,7 @@ from trendlens.embedding import (
     ModelFormatError,
     TrainConfig,
     Vocabulary,
+    cosine_similarity,
     save_model,
 )
 from trendlens.keywords import (
@@ -15,7 +16,6 @@ from trendlens.keywords import (
     FileEmbedder,
     KeywordScore,
     ReferenceEmbedder,
-    document_vectors,
     extract_keywords,
     load_document_vectors,
     load_extractions,
@@ -40,6 +40,52 @@ def random_model(V, D, seed):
 
 def stream(*tokens, doc_id="D"):
     return TokenStream(doc_id, tuple(tokens))
+
+
+def document_vectors(embedder, streams):
+    """Document vectors as extraction computes them, keyed by doc id;
+    documents with no embeddable word are skipped, as extraction skips them."""
+    out = {}
+    for s in streams:
+        if not any(embedder.embed_word(t) is not None for t in set(s.tokens)):
+            continue
+        vec = embedder.embed_document(s)
+        if vec is not None:
+            out[s.doc_id] = vec
+    return out
+
+
+def oracle_extract(stream, embedder, top_n):
+    """The per-candidate extraction loop: one cosine_similarity call per
+    candidate word, then a full sort on (-score, token)."""
+    candidates = [
+        (token, vec)
+        for token in sorted(set(stream.tokens))
+        if (vec := embedder.embed_word(token)) is not None
+    ]
+    if not candidates:
+        return ExtractionResult(stream.doc_id, (), warning="no scoreable candidates")
+    doc_vec = embedder.embed_document(stream)
+    if doc_vec is None:
+        return ExtractionResult(stream.doc_id, (), warning="no document vector")
+    if not np.linalg.norm(doc_vec) > 0:
+        return ExtractionResult(stream.doc_id, (), warning="zero-norm document vector")
+    scored = [(token, cosine_similarity(vec, doc_vec)) for token, vec in candidates]
+    scored.sort(key=lambda ts: (-ts[1], ts[0]))
+    return ExtractionResult(stream.doc_id, tuple(KeywordScore(t, s) for t, s in scored[:top_n]))
+
+
+class HandEmbedder:
+    """Serves fixed word and document vectors as given, in any dtype or shape."""
+
+    def __init__(self, words, doc, dim=2):
+        self.words, self.doc, self.dim = words, doc, dim
+
+    def embed_word(self, token):
+        return self.words.get(token)
+
+    def embed_document(self, stream):
+        return self.doc
 
 
 class TestReferenceEmbedder:
@@ -249,6 +295,76 @@ class TestExtract:
                 assert ks.keyword in tokens
                 assert ks.keyword not in stop
                 assert -1.0 - 1e-12 <= ks.score <= 1.0 + 1e-12
+
+
+class TestBatchedScoresMatchOracle:
+    """Every score of extract_keywords equals the per-candidate
+    cosine_similarity loop bit for bit, and the same inputs fail."""
+
+    def assert_matches(self, embedder, streams):
+        for s in streams:
+            everything = len(set(s.tokens)) + 1  # compare every candidate's score
+            assert extract_keywords(s, embedder, everything) == oracle_extract(s, embedder, everything)
+            assert extract_keywords(s, embedder, 3) == oracle_extract(s, embedder, 3)
+
+    def random_streams(self, words, seed, n=30, oov=("oov1", "oov2")):
+        rng = np.random.default_rng(seed)
+        pool = list(words) + list(oov)
+        return [
+            TokenStream(f"D{i}", tuple(rng.choice(pool, size=int(rng.integers(1, 40)))))
+            for i in range(n)
+        ]
+
+    @pytest.mark.parametrize("seed, V, D", [(0, 50, 8), (1, 200, 64), (2, 30, 300), (3, 5, 1)])
+    def test_random_reference_models(self, seed, V, D):
+        model = random_model(V, D, seed)
+        model.input_vectors[V // 2] = 0.0  # a zero row is never a candidate
+        self.assert_matches(ReferenceEmbedder(model), self.random_streams(model.vocab.words, seed + 100))
+
+    def test_planted_ties_and_repeated_tokens(self):
+        rng = np.random.default_rng(21)
+        shared, other = rng.normal(size=6), rng.normal(size=6)
+        vectors = {f"t{i}": shared for i in range(6)}  # exact ties, broken by token
+        vectors.update({f"s{i}": (i + 1) * other for i in range(4)})  # ties up to rounding
+        vectors.update({f"w{i}": rng.normal(size=6) for i in range(10)})
+        model = model_from(vectors)
+        words = sorted(vectors)
+        streams = [TokenStream("rep", tuple(words[:3] * 7 + words))]
+        streams += self.random_streams(words, 22, oov=())
+        self.assert_matches(ReferenceEmbedder(model), streams)
+
+    def test_hand_embedder_with_float32_rows(self):
+        model = random_model(40, 12, seed=31)
+        words = {w: model.vector(w).astype(np.float32) for w in model.vocab.words}
+        for s in self.random_streams(model.vocab.words, 32):
+            doc = np.mean([words[t] for t in s.tokens if t in words], axis=0, dtype=np.float32)
+            hand = HandEmbedder(words, doc, dim=12)
+            assert extract_keywords(s, hand, 100) == oracle_extract(s, hand, 100)
+
+    def test_file_embedder(self, tmp_path):
+        model = random_model(60, 10, seed=41)
+        streams = self.random_streams(model.vocab.words, 42)
+        doc_path, word_path = tmp_path / "d.vec", tmp_path / "w.vec"
+        save_document_vectors(document_vectors(ReferenceEmbedder(model), streams), doc_path)
+        save_model(model, word_path)
+        self.assert_matches(FileEmbedder.from_files(doc_path, word_path), streams)
+
+    def test_word_norm_underflow_is_zero_norm_error(self):
+        model = model_from({"big": [1.0, 0.0], "tiny": [1e-200, 0.0]})
+        doc = stream("big", "tiny")
+        for extract in (extract_keywords, oracle_extract):
+            with pytest.raises(ValueError, match="zero-norm"):
+                extract(doc, ReferenceEmbedder(model), 5)
+
+    @pytest.mark.parametrize("words", [
+        {"a": np.ones(3), "b": np.ones(3)},  # every word 3-d, the document 2-d
+        {"a": np.ones(2), "b": np.ones(3)},  # words of two lengths
+    ])
+    def test_mismatched_shapes_fail(self, words):
+        hand = HandEmbedder(words, np.ones(2))
+        for extract in (extract_keywords, oracle_extract):
+            with pytest.raises(ValueError):
+                extract(stream("a", "b"), hand, 5)
 
 
 class TestExtractionCsv:

@@ -294,6 +294,30 @@ class TestResolveConfig:
         with pytest.raises(ValueError, match=re.escape(f"{config_path}: '{key}' must be")):
             resolve_config(config_path, {})
 
+    @pytest.mark.parametrize("key, value, bound", [
+        ("top_n", 0, ">= 1"),
+        ("top_n", -3, ">= 1"),
+        ("top_percent", 0, "in (0, 100]"),
+        ("top_percent", -5, "in (0, 100]"),
+        ("top_percent", 100.5, "in (0, 100]"),
+        ("top_percent", float("nan"), "in (0, 100]"),
+        ("cluster_threshold", 0, "> 0"),
+        ("cluster_threshold", -1, "> 0"),
+    ])
+    def test_analysis_value_out_of_range_names_key_and_source(self, tmp_path, key, value, bound):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({"corpus": "x.jsonl", key: value}))
+        error = f"'{key}' must be {bound}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(f"{config_path}: {error}")):
+            resolve_config(config_path, {})
+        with pytest.raises(ValueError, match=re.escape(f"flags: {error}")):
+            resolve_config(None, {"corpus": "x.jsonl", key: value})
+
+    def test_analysis_range_bounds_accepted(self):
+        values = {"top_n": 1, "top_percent": 100.0, "cluster_threshold": 1e-9}
+        config = resolve_config(None, {"corpus": "x.jsonl", **values})
+        assert (config.top_n, config.top_percent, config.cluster_threshold) == tuple(values.values())
+
     def test_null_allowed_for_optional_keys_only(self, tmp_path):
         config_path = tmp_path / "c.json"
         optional = {"format": None, "query": None, "base_stopwords": None, "model": None}

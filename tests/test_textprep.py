@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,46 @@ from trendlens.textprep import (
     save_token_streams,
     tokenize,
 )
+
+
+def oracle_tokenize(text):
+    """The per-character tokenizer: a token is a maximal run of characters
+    for which str.isalnum() is true in the lowercased text."""
+    tokens, current = [], []
+    for ch in text.lower():
+        if ch.isalnum():
+            current.append(ch)
+        elif current:
+            tokens.append("".join(current))
+            current = []
+    if current:
+        tokens.append("".join(current))
+    return tokens
+
+
+# letters and digits of several scripts, the underscore, combining marks
+# (U+0301, U+0307) and characters whose lowercase form is longer (İ) or
+# differs by context (Σ)
+_MIXED = st.one_of(
+    st.characters(),
+    st.sampled_from("aZ9_ İıßΣσςÅ\u0301\u0307\u0660\u00b2\u2167\u4e2d\u0915\u093f\uff21-.,"),
+)
+
+
+class TestTokenizeMatchesOracle:
+    def test_every_code_point(self):
+        mismatched = [
+            c for c in range(sys.maxunicode + 1) if tokenize(chr(c)) != oracle_tokenize(chr(c))
+        ]
+        assert mismatched == []
+
+    @given(st.text(_MIXED, max_size=80))
+    def test_mixed_script_text(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
+
+    @given(st.text(max_size=80))
+    def test_any_text(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
 
 
 class TestTokenize:
