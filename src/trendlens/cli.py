@@ -16,17 +16,22 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import load_corpus, save_corpus, filter_corpus
-from .embedding import load_model, save_model, train
+from .corpus import load_corpus, save_corpus
+from .embedding import MODES, TrainConfig, load_model, save_model, train
 from .keywords import FileEmbedder, ReferenceEmbedder, load_extractions
 from .pipeline import (
+    _FLAG_TYPES,
+    _RANGES,
     _TRAIN_TYPES,
+    _TYPES,
     CurationRequired,
+    PipelineConfig,
     PipelineStageError,
-    _check_ranges,
+    _check,
     _extract,
     _load_stopwords,
     _prep_streams,
+    _query,
     _train_config,
     analyze_extractions,
     plot_projection,
@@ -34,7 +39,6 @@ from .pipeline import (
     run_pipeline,
     write_report_files,
 )
-from .query import parse_query
 from .textprep import (
     TokenStream,
     filter_stopwords,
@@ -42,7 +46,7 @@ from .textprep import (
     load_token_streams,
     save_token_streams,
 )
-from .trends import generate_stopword_candidates, save_candidates
+from .trends import DEFAULT_TOP_K, generate_stopword_candidates, save_candidates
 
 log = logging.getLogger("trendlens")
 
@@ -80,9 +84,9 @@ def _add_train_flags(parser):
     parser.add_argument("--epochs", type=int)
     parser.add_argument("--learning-rate", type=float)
     parser.add_argument("--min-count", type=int)
-    parser.add_argument("--mode", choices=("negative_sampling", "full_softmax"))
+    parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--negatives", type=int)
-    parser.add_argument("--seed", type=int, help="RNG seed (default: $TRENDLENS_SEED or 1)")
+    parser.add_argument("--seed", type=int, help=f"default: $TRENDLENS_SEED or {TrainConfig.seed}")
     parser.add_argument("--full-softmax-cap", type=int)
 
 
@@ -92,7 +96,7 @@ def _train_flags(args) -> dict:
 
 
 def _flag_train_config(args):
-    return _train_config(_train_flags(args), os.environ.get("TRENDLENS_SEED"), "flags")
+    return _train_config(_train_flags(args), os.environ.get("TRENDLENS_SEED"))
 
 
 def _read_query(args) -> str | None:
@@ -142,12 +146,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_query(args) -> int:
-    source = _read_query(args)
-    expr = parse_query(source)
-    corpus = load_corpus(args.input, args.format)
-    kept = filter_corpus(corpus, expr)
-    log.info("query kept %d of %d documents", len(kept), len(corpus))
-    save_corpus(kept, args.out)
+    save_corpus(_query(load_corpus(args.input, args.format), _read_query(args)), args.out)
     return EXIT_OK
 
 
@@ -230,20 +229,13 @@ def cmd_plot(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    overrides = {
-        "corpus": args.corpus,
-        "format": args.format,
-        "query": _read_query(args),
-        "base_stopwords": args.base_stopwords,
-        "extra_stopwords": args.extra_stopwords or None,
-        "model": args.model,
-        "top_n": args.top_n,
-        "top_percent": args.top_percent,
-        "cluster_threshold": args.cluster_threshold,
-        "anchors": _parse_anchor_flags(args.anchor) or None,
-        "out_dir": args.out_dir,
-        **_train_flags(args),
-    }
+    # every flag named after a config key; None (and an empty list) is unset
+    overrides = {key: value for key, value in vars(args).items() if key in _TYPES}
+    overrides.update(
+        query=_read_query(args),
+        extra_stopwords=args.extra_stopwords or None,
+        anchors=_parse_anchor_flags(args.anchor) or None,
+    )
     config = resolve_config(args.config, overrides, os.environ.get("TRENDLENS_SEED"))
     run_pipeline(config)
     return EXIT_OK
@@ -276,8 +268,8 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("jsonl", "csv"), default=None)
     p.add_argument("--model", metavar="FILE", help="existing model (otherwise trains one)")
     p.add_argument("--base-stopwords", metavar="FILE")
-    p.add_argument("--top-k", type=int, default=30)
-    p.add_argument("--top-n", type=int, default=5)
+    p.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
+    p.add_argument("--top-n", type=int, default=PipelineConfig.top_n)
     p.add_argument("--out", required=True, metavar="FILE")
     _add_train_flags(p)
     p.set_defaults(handler=cmd_stopwords)
@@ -297,7 +289,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", metavar="FILE")
     p.add_argument("--doc-vectors", metavar="FILE", help="external document vectors")
     p.add_argument("--word-vectors", metavar="FILE", help="external word vectors")
-    p.add_argument("--top-n", type=int, default=5)
+    p.add_argument("--top-n", type=int, default=PipelineConfig.top_n)
     p.add_argument("--out", required=True, metavar="FILE")
     _add_stopword_flags(p)
     p.set_defaults(handler=cmd_extract)
@@ -307,8 +299,8 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True, metavar="FILE")
     p.add_argument("--format", choices=("jsonl", "csv"), default=None)
     p.add_argument("--model", required=True, metavar="FILE")
-    p.add_argument("--top-percent", type=float, default=5.0)
-    p.add_argument("--cluster-threshold", type=float, default=1.0)
+    p.add_argument("--top-percent", type=float, default=PipelineConfig.top_percent)
+    p.add_argument("--cluster-threshold", type=float, default=PipelineConfig.cluster_threshold)
     p.add_argument("--anchor", action="append", default=[], metavar="INDUSTRY=TOKEN")
     p.add_argument("--out-dir", required=True, metavar="DIR")
     p.set_defaults(handler=cmd_analyze)
@@ -326,9 +318,10 @@ def build_parser() -> _Parser:
     group.add_argument("--query", metavar="EXPR")
     group.add_argument("--query-file", metavar="FILE")
     p.add_argument("--model", metavar="FILE", help="pretrained model; skips training")
-    p.add_argument("--top-n", type=int, default=None)
-    p.add_argument("--top-percent", type=float, default=None)
-    p.add_argument("--cluster-threshold", type=float, default=None)
+    # unset flags stay None, so the config file or PipelineConfig supplies them
+    p.add_argument("--top-n", type=int)
+    p.add_argument("--top-percent", type=float)
+    p.add_argument("--cluster-threshold", type=float)
     p.add_argument("--anchor", action="append", default=[], metavar="INDUSTRY=TOKEN")
     p.add_argument("--out-dir", metavar="DIR")
     _add_stopword_flags(p)
@@ -345,7 +338,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        _check_ranges(vars(args), "flags")
+        flags = {k: getattr(args, k) for k in _RANGES if getattr(args, k, None) is not None}
+        _check(flags, "flags", _FLAG_TYPES)
         return args.handler(args)
     except CurationRequired as exc:
         log.error("%s", exc)

@@ -131,7 +131,7 @@ class FileEmbedder:
         return self._docs.get(stream.doc_id)
 
 
-def extract_keywords(stream: TokenStream, embedder: Embedder, top_n: int = 5) -> ExtractionResult:
+def extract_keywords(stream: TokenStream, embedder: Embedder, top_n: int) -> ExtractionResult:
     """Score the document's candidate words against its document vector.
 
     Streams arrive stopword-filtered (see ``filter_stopwords``), so every

@@ -31,6 +31,7 @@ from .textprep import (
     tokenize,
 )
 from .trends import (
+    DEFAULT_TOP_N,
     ClusterAssignment,
     ProjectedPoint,
     aggregate_keywords,
@@ -89,42 +90,54 @@ class PipelineConfig:
     extra_stopwords: tuple[str, ...] = ()
     model: str | None = None  # pretrained model path; skips training
     train: TrainConfig = field(default_factory=TrainConfig)
-    top_n: int = 5
+    top_n: int = DEFAULT_TOP_N
     top_percent: float = 5.0
     cluster_threshold: float = 1.0
     anchors: dict[str, str] = field(default_factory=dict)
     out_dir: str = "trendlens-out"
 
+    def __post_init__(self):
+        # a JSON config gives a list for the tuple and may give an int for a float
+        self.extra_stopwords = tuple(self.extra_stopwords)
+        self.top_percent = float(self.top_percent)
+        self.cluster_threshold = float(self.cluster_threshold)
+
     def to_json(self) -> str:
-        data = dataclasses.asdict(self)
-        data["extra_stopwords"] = list(self.extra_stopwords)
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 _TRAIN_TYPES = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
-# top-level config keys and their types; only the _NULLABLE ones may be null
-_TOP_TYPES = dict(
+# every config key and its type; only the _NULLABLE ones may be null
+_TYPES = dict(
     corpus=str, format=str, query=str, base_stopwords=str, extra_stopwords=list, model=str,
     top_n=int, top_percent=float, cluster_threshold=float, anchors=dict, out_dir=str,
+    **_TRAIN_TYPES,
 )
 _NULLABLE = {"format", "query", "base_stopwords", "model"}
 _TYPE_NAMES = {list: "list of strings", dict: "object of strings"}
-# the analysis values their stages accept, checked before anything is trained
-_TOP_RANGES = dict(
+# the values their stages accept, checked before anything is trained; top_k,
+# the stopwords subcommand's candidate count, is a flag and no config key
+_RANGES = dict(
     top_n=(lambda v: v >= 1, ">= 1"),
     top_percent=(lambda v: 0 < v <= 100, "in (0, 100]"),
     cluster_threshold=(lambda v: v > 0, "> 0"),
+    top_k=(lambda v: v >= 1, ">= 1"),
 )
+_FLAG_TYPES = {**_TYPES, "top_k": int}
 
 
-def _check_types(values: dict[str, Any], source: str) -> None:
-    """Raise ValueError naming the key and ``source`` for a mistyped value:
-    a float key takes any number, a list holds strings, a dict maps to
-    strings, and no key takes a bool."""
+def _check(values: dict[str, Any], source: str, types: dict[str, type] = _TYPES) -> None:
+    """Raise ValueError naming ``source`` for a key not in ``types``, a
+    mistyped value or a value out of its range.  A float key takes any
+    number, a list holds strings, a dict maps to strings, and no key takes a
+    bool."""
+    unknown = values.keys() - types.keys()
+    if unknown:
+        raise ValueError(f"{source}: unknown config key(s): {', '.join(sorted(unknown))}")
     for key, value in values.items():
-        expected = _TRAIN_TYPES.get(key) or _TOP_TYPES[key]
         if value is None and key in _NULLABLE:
             continue
+        expected = types[key]
         allowed = (int, float) if expected is float else expected
         ok = isinstance(value, allowed) and not isinstance(value, bool)
         if ok and expected in (list, dict):
@@ -132,21 +145,15 @@ def _check_types(values: dict[str, Any], source: str) -> None:
         if not ok:
             name = _TYPE_NAMES.get(expected, expected.__name__)
             raise ValueError(f"{source}: {key!r} must be of type {name}, got {value!r}")
+        if key in _RANGES and not _RANGES[key][0](value):
+            raise ValueError(f"{source}: {key!r} must be {_RANGES[key][1]}, got {value!r}")
 
 
-def _check_ranges(values: dict[str, Any], source: str) -> None:
-    """Raise ValueError naming the key and ``source`` for an out-of-range analysis value."""
-    for key, (ok, bound) in _TOP_RANGES.items():
-        if values.get(key) is not None and not ok(values[key]):
-            raise ValueError(f"{source}: {key!r} must be {bound}, got {values[key]!r}")
-
-
-def _train_config(values: dict[str, Any], env_seed: str | None, source: str) -> TrainConfig:
-    """The TrainConfig for explicit ``values`` (defaults fill the rest).
+def _train_config(values: dict[str, Any], env_seed: str | None) -> TrainConfig:
+    """The TrainConfig for checked ``values`` (defaults fill the rest).
 
     TRENDLENS_SEED (``env_seed``) supplies the seed when ``values`` has
-    none.  A value of the wrong type is reported with its key and
-    ``source``.
+    none.
     """
     values = dict(values)
     if "seed" not in values and env_seed is not None:
@@ -154,7 +161,6 @@ def _train_config(values: dict[str, Any], env_seed: str | None, source: str) -> 
             values["seed"] = int(env_seed)
         except ValueError:
             raise ValueError(f"TRENDLENS_SEED must be an integer, got {env_seed!r}") from None
-    _check_types(values, source)
     config = TrainConfig(**values)
     config.validate()
     return config
@@ -202,66 +208,45 @@ def resolve_config(
     """Merge defaults, a flat JSON config file, and CLI overrides.
 
     Precedence: overrides (flags) > config file > TRENDLENS_SEED (for the
-    seed only) > built-in defaults.  Relative input paths in the config
-    file resolve against the config file's directory; the output directory
-    resolves against the working directory.  A mistyped value, or an
-    analysis value out of range, fails naming its key and source.
+    seed only) > the defaults of PipelineConfig and TrainConfig.  An
+    override of None is unset.  Relative input paths in the config file
+    resolve against the config file's directory; the output directory and
+    override paths resolve against the working directory.  An unknown key,
+    a mistyped value, or an analysis value out of range fails naming its
+    key and source: the config file, or ``flags`` for the overrides.
     """
-    file_values: dict[str, Any] = {}
-    base_dir: Path | None = None
+    values: dict[str, Any] = {}
     if config_path is not None:
         config_path = Path(config_path)
-        base_dir = config_path.parent
         with open(config_path, encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
+            values = json.load(fh)
+        if not isinstance(values, dict):
             raise ValueError(f"{config_path}: config must be a JSON object")
-        unknown = set(file_values) - _TOP_TYPES.keys() - _TRAIN_TYPES.keys()
-        if unknown:
-            raise ValueError(f"{config_path}: unknown config key(s): {', '.join(sorted(unknown))}")
-        _check_types(file_values, str(config_path))
-        _check_ranges(file_values, str(config_path))
-    _check_ranges(overrides or {}, "flags")
-
-    merged: dict[str, Any] = dict(file_values)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-
-    if "corpus" not in merged:
+        _check(values, str(config_path))
+        # anchored to the config file so a config directory is self-contained
+        base_dir = config_path.parent
+        for key in ("corpus", "base_stopwords", "model"):
+            if values.get(key):
+                values[key] = str(base_dir / values[key])
+        if "extra_stopwords" in values:
+            values["extra_stopwords"] = [str(base_dir / p) for p in values["extra_stopwords"]]
+    flags = {key: value for key, value in (overrides or {}).items() if value is not None}
+    _check(flags, "flags")
+    values.update(flags)
+    if "corpus" not in values:
         raise ValueError("config is missing the 'corpus' path")
+    train_values = {key: values.pop(key) for key in _TRAIN_TYPES if key in values}
+    return PipelineConfig(**values, train=_train_config(train_values, env_seed))
 
-    def _resolve_path(key: str, value: str) -> str:
-        # flag-provided paths are used verbatim; file-provided ones anchor
-        # to the config file so a config directory is self-contained
-        if overrides and overrides.get(key) is not None:
-            return value
-        if base_dir is not None and key in file_values:
-            return str(base_dir / value)
-        return value
 
-    train_values = {k: merged[k] for k in _TRAIN_TYPES if k in merged}
-    config = PipelineConfig(
-        corpus=_resolve_path("corpus", merged["corpus"]),
-        format=merged.get("format"),
-        query=merged.get("query"),
-        base_stopwords=(
-            _resolve_path("base_stopwords", merged["base_stopwords"])
-            if merged.get("base_stopwords")
-            else None
-        ),
-        extra_stopwords=tuple(
-            _resolve_path("extra_stopwords", p) for p in merged.get("extra_stopwords", ())
-        ),
-        model=_resolve_path("model", merged["model"]) if merged.get("model") else None,
-        train=_train_config(train_values, env_seed, str(config_path or "config")),
-        top_n=merged.get("top_n", 5),
-        top_percent=float(merged.get("top_percent", 5.0)),
-        cluster_threshold=float(merged.get("cluster_threshold", 1.0)),
-        anchors=dict(merged.get("anchors", {})),
-        out_dir=str(merged.get("out_dir", "trendlens-out")),
-    )
-    return config
+def _query(corpus: Corpus, source: str) -> Corpus:
+    """The documents of ``corpus`` that the query ``source`` matches; none
+    matching fails.  Shared by run_pipeline and the ``query`` subcommand."""
+    kept = filter_corpus(corpus, parse_query(source))
+    log.info("query kept %d of %d documents", len(kept), len(corpus))
+    if len(kept) == 0:
+        raise ValueError("query matched no documents")
+    return kept
 
 
 @dataclass
@@ -523,11 +508,7 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
     corpus = stage("load", load_corpus, config.corpus, config.format)
     log.info("loaded %d documents across %d industries", len(corpus), len(corpus.industries))
     if config.query:
-        expr = stage("query", parse_query, config.query)
-        corpus = stage("query", filter_corpus, corpus, expr)
-        log.info("query kept %d documents", len(corpus))
-        if len(corpus) == 0:
-            raise PipelineStageError("query", ValueError("query matched no documents"))
+        corpus = stage("query", _query, corpus, config.query)
 
     base, extras = stage(
         "stopwords", _load_stopwords, config.base_stopwords, config.extra_stopwords
@@ -547,8 +528,7 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
             generate_stopword_candidates,
             streams,
             ReferenceEmbedder(interim),
-            30,
-            config.top_n,
+            top_n=config.top_n,
         )
         candidates_path = out_dir / CANDIDATES_FILENAME
         save_candidates(candidates, candidates_path)

@@ -123,9 +123,10 @@ def save_token_streams(streams: Sequence[TokenStream], path: str | Path) -> None
 
 def load_token_streams(path: str | Path) -> list[TokenStream]:
     """Read streams written by :func:`save_token_streams`.  A malformed record,
-    or a token a model file cannot hold (empty or not lowercase alphanumeric,
-    the rule of StopwordList entries), fails with ``path:line``."""
+    a repeated id, or a token a model file cannot hold (empty or not lowercase
+    alphanumeric, the rule of StopwordList entries), fails with ``path:line``."""
     streams: list[TokenStream] = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             if not raw.strip():
@@ -139,6 +140,9 @@ def load_token_streams(path: str | Path) -> list[TokenStream]:
             doc_id, tokens = record["id"], record["tokens"]
             if not isinstance(doc_id, str) or not doc_id:
                 raise ValueError(f"{path}:{lineno}: 'id' must be a non-empty string")
+            if doc_id in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate id {doc_id!r}")
+            seen.add(doc_id)
             if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
                 raise ValueError(f"{path}:{lineno}: 'tokens' must be a list of strings")
             bad = next((t for t in tokens if not (t.isalnum() and t == t.lower())), None)

@@ -32,6 +32,9 @@ __all__ = [
     "save_candidates",
 ]
 
+DEFAULT_TOP_K = 30  # stopword candidates kept for curation
+DEFAULT_TOP_N = 5  # keywords kept per document
+
 @dataclass(frozen=True)
 class KeywordFrequencyTable:
     """Document frequency of extracted keywords within one industry."""
@@ -75,8 +78,8 @@ def select_top_percent(table: KeywordFrequencyTable, percent: float) -> list[str
 def generate_stopword_candidates(
     streams: Sequence[TokenStream],
     embedder: Embedder,
-    top_k: int = 30,
-    top_n: int = 5,
+    top_k: int = DEFAULT_TOP_K,
+    top_n: int = DEFAULT_TOP_N,
 ) -> list[tuple[str, int]]:
     """Corpus-wide stopword candidates: extract keywords from every
     stream, then rank by document frequency.
@@ -87,6 +90,8 @@ def generate_stopword_candidates(
     """
     if not streams:
         raise ValueError("no token streams")
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k!r}")
     freq: Counter = Counter()
     for stream in streams:
         result = extract_keywords(stream, embedder, top_n)

@@ -1,10 +1,14 @@
+import argparse
 import csv
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
-from trendlens.cli import EXIT_CURATION, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from trendlens.cli import EXIT_CURATION, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, build_parser, main
+from trendlens.pipeline import PipelineConfig, resolve_config
+from trendlens.trends import generate_stopword_candidates
 
 FIXTURE = Path("src/trendlens/data/fixture").resolve()
 
@@ -134,6 +138,18 @@ class TestQuerySubcommand:
             main(["query", "--input", str(corpus), "--query", "(oops", "--out", str(tmp_path / "x")])
             == EXIT_FAILURE
         )
+
+    def test_no_match_fails_as_in_pipeline(self, tmp_path, caplog):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus)
+        out = tmp_path / "kept.jsonl"
+        assert main(["query", "--input", str(corpus), "--query", "zeta", "--out", str(out)]) == EXIT_FAILURE
+        assert "query matched no documents" in caplog.text
+        assert not out.exists()
+        caplog.clear()
+        argv = ["pipeline", "--corpus", str(corpus), "--query", "zeta", "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == EXIT_FAILURE
+        assert "stage 'query' failed: query matched no documents" in caplog.text
 
 
 class TestTrainSubcommand:
@@ -399,6 +415,23 @@ class TestPipelineConfigPrecedence:
         assert f"{tokens}:2: token 'solar cell'" in caplog.text
         assert not model.exists()
 
+    def test_tokens_file_duplicate_id_is_failure(self, tmp_path, caplog):
+        tokens, model = tmp_path / "tokens.jsonl", tmp_path / "model.w2v"
+        records = ['{"id": "a", "tokens": ["solar", "cell", "solar"]}', '{"id": "b", "tokens": ["cell"]}']
+        tokens.write_text("\n".join(records) + "\n")
+        argv = ["train", "--input", str(tokens), "--dim", "4", "--epochs", "1", "--min-count", "1"]
+        assert main([*argv, "--out", str(model)]) == EXIT_OK
+        tokens.write_text("\n".join([*records, records[0]]) + "\n")
+        assert main([*argv, "--out", str(tmp_path / "m2.w2v")]) == EXIT_FAILURE
+        assert f"{tokens}:3: duplicate id 'a'" in caplog.text
+        assert not (tmp_path / "m2.w2v").exists()
+        caplog.clear()
+        out = tmp_path / "k.csv"
+        argv = ["extract", "--input", str(tokens), "--model", str(model), "--out", str(out)]
+        assert main(argv) == EXIT_FAILURE
+        assert f"{tokens}:3: duplicate id 'a'" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, value", [("top_n", 0), ("top_percent", 0), ("top_percent", -5), ("cluster_threshold", -1)]
     )
@@ -430,6 +463,8 @@ class TestAnalysisFlagRanges:
             ("pipeline", ["--top-percent", "-5"], "'top_percent' must be in (0, 100], got -5.0"),
             ("analyze", ["--cluster-threshold", "-1"], "'cluster_threshold' must be > 0, got -1.0"),
             ("pipeline", ["--cluster-threshold", "0"], "'cluster_threshold' must be > 0, got 0.0"),
+            ("stopwords", ["--top-k", "0"], "'top_k' must be >= 1, got 0"),
+            ("stopwords", ["--top-k", "-1"], "'top_k' must be >= 1, got -1"),
         ],
     )
     def test_out_of_range_flag_is_failure_naming_flag(self, tmp_path, caplog, command, flags, error):
@@ -446,3 +481,33 @@ class TestAnalysisFlagRanges:
         assert main([command, *inputs, *flags]) == EXIT_FAILURE
         assert f"flags: {error}" in caplog.text
         assert not out.exists()
+
+
+def test_flag_defaults_are_the_owning_defaults():
+    """Each analysis flag defaults to PipelineConfig's value, and --top-k to
+    generate_stopword_candidates'; pipeline leaves them unset (None) so that
+    resolve_config supplies the same values."""
+    owning = {
+        "top_n": PipelineConfig.top_n,
+        "top_percent": PipelineConfig.top_percent,
+        "cluster_threshold": PipelineConfig.cluster_threshold,
+        "top_k": inspect.signature(generate_stopword_candidates).parameters["top_k"].default,
+    }
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = set()
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.dest in owning:
+                found.add((command, action.dest))
+                expected = None if command == "pipeline" else owning[action.dest]
+                assert action.default == expected, (command, action.dest)
+    assert found == {
+        ("stopwords", "top_k"), ("stopwords", "top_n"), ("extract", "top_n"),
+        ("analyze", "top_percent"), ("analyze", "cluster_threshold"),
+        ("pipeline", "top_n"), ("pipeline", "top_percent"), ("pipeline", "cluster_threshold"),
+    }
+    analysis = ("top_n", "top_percent", "cluster_threshold")
+    args = parser.parse_args(["pipeline", "--corpus", "x.jsonl"])
+    config = resolve_config(None, {k: getattr(args, k) for k in ("corpus", *analysis)})
+    assert all(getattr(config, k) == owning[k] for k in analysis)

@@ -271,6 +271,8 @@ class TestResolveConfig:
             config_path.write_text(json.dumps({"corpus": "x.jsonl", key: value}))
             with pytest.raises(ValueError, match=re.escape(f"{config_path}: '{key}' must be")):
                 resolve_config(config_path, {})
+            with pytest.raises(ValueError, match=re.escape(f"flags: '{key}' must be")):
+                resolve_config(None, {"corpus": "x.jsonl", key: value})
         config_path.write_text(json.dumps({"corpus": "x.jsonl", "learning_rate": 1}))
         assert resolve_config(config_path, {}).train.learning_rate == 1
 
@@ -293,6 +295,22 @@ class TestResolveConfig:
         config_path.write_text(json.dumps({"corpus": "x.jsonl", key: value}))
         with pytest.raises(ValueError, match=re.escape(f"{config_path}: '{key}' must be")):
             resolve_config(config_path, {})
+        if value is not None:  # an override of None is unset; see below
+            with pytest.raises(ValueError, match=re.escape(f"flags: '{key}' must be")):
+                resolve_config(None, {"corpus": "x.jsonl", key: value})
+
+    def test_none_override_is_unset(self, tmp_path):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({"corpus": "x.jsonl", "top_n": 3}))
+        config = resolve_config(config_path, {"corpus": None, "top_n": None})
+        assert (config.corpus, config.top_n) == (str(tmp_path / "x.jsonl"), 3)
+        assert resolve_config(None, {"corpus": "x.jsonl", "top_n": None}).top_n == PipelineConfig.top_n
+        with pytest.raises(ValueError, match="missing the 'corpus' path"):
+            resolve_config(None, {"corpus": None})
+
+    def test_unknown_override_key_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("flags: unknown config key(s): bogus, typo")):
+            resolve_config(None, {"corpus": "x.jsonl", "typo": 1, "bogus": [2]})
 
     @pytest.mark.parametrize("key, value, bound", [
         ("top_n", 0, ">= 1"),

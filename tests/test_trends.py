@@ -207,6 +207,13 @@ class TestStopwordCandidates:
         )
         assert len(candidates) == 30
 
+    def test_top_k_below_one_rejected(self):
+        corpus = Corpus((doc("D0", "medical", "alpha beta"),))
+        streams = base_streams(corpus, StopwordList((), "base"))
+        for top_k in (0, -1):
+            with pytest.raises(ValueError, match=f"top_k must be >= 1, got {top_k}"):
+                generate_stopword_candidates(streams, HandEmbedder({"alpha": [1.0, 0.0]}), top_k=top_k)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             generate_stopword_candidates(
