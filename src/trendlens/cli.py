@@ -40,6 +40,7 @@ from .pipeline import (
     write_report_files,
 )
 from .textprep import (
+    StopwordList,
     TokenStream,
     filter_stopwords,
     load_stopword_list,
@@ -127,7 +128,8 @@ def _input_streams(args) -> list[TokenStream]:
         lists = [load_stopword_list(args.base_stopwords, "base")] if args.base_stopwords else []
         lists += [load_stopword_list(path, "curated") for path in args.extra_stopwords]
         if lists:
-            streams = [filter_stopwords(s, *lists) for s in streams]
+            stop = StopwordList.union(*lists)
+            streams = [filter_stopwords(s, stop) for s in streams]
         return streams
     corpus = load_corpus(args.input, getattr(args, "format", None))
     base, extras = _load_stopwords(args.base_stopwords, args.extra_stopwords)

@@ -17,7 +17,13 @@ Training is reproducible bit for bit from the seed.
 statement of one SGD step; the training loop is a lean form of it that
 skips the per-pair objects and checks, and the oracle test in
 ``tests/test_embedding.py`` holds the two equal bit for bit in both modes.
-Each epoch logs its mean loss and pairs/s at INFO.
+The loop walks each epoch's shuffle in chunks of a fixed size, so its
+memory is the pair array and the shuffle plus one chunk's worth.  A
+chunk's negatives come from one sampler call, and in negative_sampling
+mode its losses are taken together at the chunk's end; a step that could
+diverge takes its loss at once, so divergence is still reported at its
+exact epoch and step.  Each epoch logs its mean loss and pairs/s at INFO,
+and a WARNING when the mean loss rose from the epoch before.
 """
 
 from __future__ import annotations
@@ -62,6 +68,9 @@ _FORMAT_VERSION = "1"
 _OUTPUT_MARKER = "#output"
 _LR_FLOOR_FRACTION = 1e-4
 _NEGATIVE_POWER = 0.75
+# pairs per chunk of an epoch's shuffle; at 2048 a fixture run's peak RSS rose by 0.35 MiB
+_CHUNK_PAIRS = 1024
+_SAFE_SCORE_SUM = 1e300  # below this sum of |scores|, a negative-sampling loss is finite
 
 log = logging.getLogger(__name__)
 
@@ -246,17 +255,32 @@ class UnigramSampler:
         self._cum = np.cumsum(weights / weights.sum())
         self._size = len(self._cum)
 
-    def draw(self, rng: np.random.Generator, k: int, exclude: int) -> list[int]:
-        """k draws, re-drawing any that hit ``exclude``; repeats are allowed."""
+    def _sample(self, rng: np.random.Generator, n: int) -> list[int]:
+        drawn = self._cum.searchsorted(rng.random(n), side="right")
+        return np.minimum(drawn, self._size - 1).tolist()
+
+    def draw(self, rng: np.random.Generator, k: int, contexts: Sequence[int]) -> np.ndarray:
+        """k negatives for each pair's context, as a (len(contexts), k) array.
+
+        A draw that hits its pair's context is re-drawn; repeats are
+        allowed.  The pairs take the values in order, and a top-up draws
+        exactly what the pairs left must still consume, so the generator
+        advances as it would for one scalar draw at a time.
+        """
         if self._size < 2:
             raise ValueError("negative sampling needs a vocabulary of at least 2 words")
-        # Each round draws exactly as many values as are still missing, so
-        # the generator advances as it would for one scalar draw at a time.
-        out: list[int] = []
-        while (need := k - len(out)) > 0:
-            drawn = self._cum.searchsorted(rng.random(need), side="right")
-            out += [i for i in np.minimum(drawn, self._size - 1).tolist() if i != exclude]
-        return out
+        m = len(contexts)
+        drawn, pos, out = self._sample(rng, m * k), 0, []
+        for i, exclude in enumerate(contexts):
+            row: list[int] = []
+            while len(row) < k:
+                if pos == len(drawn):  # at least what this pair and the ones after it still take
+                    drawn, pos = self._sample(rng, k - len(row) + k * (m - 1 - i)), 0
+                taken = drawn[pos:pos + k - len(row)]
+                pos += len(taken)
+                row += taken if exclude not in taken else [v for v in taken if v != exclude]
+            out += row
+        return np.array(out, dtype=np.intp).reshape(m, k)
 
 
 def pair_loss_and_gradients(
@@ -366,70 +390,110 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
 
 
 def _train_sequential(model, pairs, config, rng, sampler, total_steps) -> None:
-    """Plain SGD over the shuffled pairs, one pair at a time.
-
-    A lean form of :func:`pair_loss_and_gradients` followed by the SGD
-    update: the same numpy operations on the same operands, so the weights
-    match the oracle bit for bit.  ``h`` is a view of the center's input
-    row, so every product that reads it is taken before that row changes.
-    """
-    inp, out = model.input_vectors, model.output_vectors
-    centers, contexts = pairs[:, 0].tolist(), pairs[:, 1].tolist()
-    lr0, k, n = config.learning_rate, config.negatives, len(pairs)
-    signs = np.array([-1.0] + [1.0] * k)
-    step = 0
+    """Plain SGD over the shuffled pairs, one pair at a time, walked in
+    chunks of at most ``_CHUNK_PAIRS``.  A chunk's learning rates and
+    negatives are made before its steps run, drawing from the generator in
+    the oracle's order."""
+    n, step, previous = len(pairs), 0, math.inf
     for epoch in range(config.epochs):
         started, loss_sum = time.perf_counter(), 0.0
-        for idx in rng.permutation(n).tolist():
-            center, context = centers[idx], contexts[idx]
-            lr = lr0 * max(_LR_FLOOR_FRACTION, 1.0 - step / total_steps)
-            h = inp[center]
-            if sampler is None:  # full softmax over the whole vocabulary
-                with np.errstate(over="ignore", invalid="ignore"):
-                    u = out @ h
-                if np.isfinite(u).all():
-                    m = u.max()
-                    e = np.exp(u - m)
-                    total = e.sum()
-                    loss = float(m + math.log(total) - u[context])
-                else:
-                    loss = math.inf
-            else:
-                negatives = sampler.draw(rng, k, context)
-                rows = [context, *negatives]
-                w = out[rows]
-                u = w @ h
-                terms = np.logaddexp(0.0, u * signs)  # -log sigma(u_pos), -log sigma(-u_neg)
-                loss = float(terms[0] + terms[1:].sum())
-            if not math.isfinite(loss):
-                raise TrainingDiverged(epoch, step)
+        perm = rng.permutation(n)
+        for a in range(0, n, _CHUNK_PAIRS):
+            chunk = pairs[perm[a:a + _CHUNK_PAIRS]]
+            decay = 1.0 - np.arange(step, step + len(chunk)) / total_steps
+            lrs = (config.learning_rate * np.maximum(_LR_FLOOR_FRACTION, decay)).tolist()
+            centers, contexts = chunk.T.tolist()
             if sampler is None:
-                e /= total
-                e[context] -= 1.0
-                center_grad = out.T @ e
-                out -= lr * np.outer(e, h)
+                losses = _softmax_steps(model, centers, contexts, lrs, epoch, step)
             else:
-                # _sigmoid without the masks: 1/(1+e^-u) for u >= 0, e^u/(1+e^u) below
-                e = np.exp(-np.abs(u))
-                g = np.where(u >= 0, 1.0, e) / (1.0 + e)
-                g[0] -= 1.0
-                center_grad = g @ w
-                grads = np.outer(g, h)
-                if len(set(negatives)) == k:
-                    out[rows] = w - lr * grads
-                else:  # a repeated negative accumulates its rows' updates
-                    rows, inverse = np.unique(rows, return_inverse=True)
-                    acc = np.zeros((len(rows), len(h)))
-                    np.add.at(acc, inverse, grads)
-                    out[rows] -= lr * acc
-            h -= lr * center_grad
-            loss_sum += loss
-            step += 1
-        seconds = time.perf_counter() - started
+                negatives = sampler.draw(rng, config.negatives, contexts)
+                rows = np.concatenate([chunk[:, 1:], negatives], axis=1)
+                losses = _sampling_steps(model, centers, rows, lrs, epoch, step)
+            for loss in losses:  # in step order, as the oracle sums them
+                loss_sum += loss
+            step += len(chunk)
+        mean, seconds = loss_sum / n, time.perf_counter() - started
         log.info(
             "epoch %d/%d: mean loss %.6f, %.0f pairs/s",
-            epoch + 1, config.epochs, loss_sum / n, n / seconds if seconds > 0 else 0.0,
+            epoch + 1, config.epochs, mean, n / seconds if seconds > 0 else 0.0,
         )
+        if mean > previous:
+            log.warning("epoch %d/%d: mean loss rose from %.6f to %.6f",
+                        epoch + 1, config.epochs, previous, mean)
+        previous = mean
+
+
+def _softmax_steps(model, centers, contexts, lrs, epoch, first_step) -> list[float]:
+    """One chunk's full_softmax steps; returns their losses.
+
+    A lean form of :func:`pair_loss_and_gradients` and the SGD update: the
+    same numpy operations on the same operands.  ``h`` views the center's
+    input row, so every product reading it is taken before the row changes.
+    """
+    inp, out, losses = model.input_vectors, model.output_vectors, []
+    for i, (center, context, lr) in enumerate(zip(centers, contexts, lrs)):
+        h = inp[center]
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = out @ h
+        loss = math.inf
+        if np.isfinite(u).all():
+            m = u.max()
+            e = np.exp(u - m)
+            total = e.sum()
+            loss = float(m + math.log(total) - u[context])
+        if not math.isfinite(loss):
+            raise TrainingDiverged(epoch, first_step + i)
+        e /= total
+        e[context] -= 1.0
+        center_grad = out.T @ e
+        out -= lr * (e[:, None] * h)  # the multiply np.outer(e, h) does
+        h -= lr * center_grad
+        losses.append(loss)
+    return losses
+
+
+def _sampling_steps(model, centers, rows, lrs, epoch, first_step) -> list[float]:
+    """One chunk's negative_sampling steps, as :func:`_softmax_steps`, with
+    each pair's context and negatives in ``rows``.
+
+    The losses are taken together at the chunk's end.  Only a step whose
+    |scores| sum to ``_SAFE_SCORE_SUM`` or more (or to nan) can have a
+    non-finite loss, so such a step takes its loss at once, as the oracle
+    does, and training stops there if that loss is not finite.
+    """
+    inp, out = model.input_vectors, model.output_vectors
+    # -log sigma(u_pos), -log sigma(-u_neg)
+    signs = np.array([-1.0] + [1.0] * (rows.shape[1] - 1))
+    scores = np.empty(rows.shape)
+    ordered = np.sort(rows[:, 1:], axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1).tolist()
+    for i, (center, r, repeat, lr) in enumerate(zip(centers, rows, repeats, lrs)):
+        h = inp[center]
+        w = out.take(r, axis=0)
+        u = w @ h
+        scores[i] = u
+        if not sum(map(abs, u.tolist())) < _SAFE_SCORE_SUM:
+            terms = np.logaddexp(0.0, u * signs)
+            if not math.isfinite(terms[0] + terms[1:].sum()):
+                raise TrainingDiverged(epoch, first_step + i)
+        # _sigmoid without the masks: 1/(1+e^-u) for u >= 0, e^u/(1+e^u) below
+        e = np.exp(-np.abs(u))
+        g = np.exp(np.minimum(u, 0.0)) / (1.0 + e)
+        g[0] -= 1.0
+        center_grad = g @ w
+        grads = g[:, None] * h
+        if not repeat:
+            out[r] = w - lr * grads
+        else:  # a repeated negative accumulates its rows' updates, in np.unique's order
+            r = r.tolist()
+            unique = sorted(set(r))
+            acc = np.zeros((len(unique), len(h)))
+            np.add.at(acc, [unique.index(row) for row in r], grads)
+            out[unique] -= lr * acc
+        h -= lr * center_grad
+    scores *= signs
+    np.logaddexp(0.0, scores, out=scores)
+    return (scores[:, 0] + scores[:, 1:].sum(axis=1)).tolist()
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

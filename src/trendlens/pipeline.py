@@ -181,10 +181,8 @@ def _prep_streams(corpus: Corpus, *stopwords: StopwordList) -> list[TokenStream]
     functions only, still sees tokenize and filter_stopwords as called by
     run_pipeline or the CLI handler and counts them as the text stage.
     """
-    return [
-        filter_stopwords(TokenStream(d.id, tuple(tokenize(d.abstract))), *stopwords)
-        for d in corpus
-    ]
+    stop = StopwordList.union(*stopwords)
+    return [filter_stopwords(TokenStream(d.id, tuple(tokenize(d.abstract))), stop) for d in corpus]
 
 
 def _extract(
@@ -230,7 +228,8 @@ def resolve_config(
                 values[key] = str(base_dir / values[key])
         if "extra_stopwords" in values:
             values["extra_stopwords"] = [str(base_dir / p) for p in values["extra_stopwords"]]
-    flags = {key: value for key, value in (overrides or {}).items() if value is not None}
+    # None means unset, but only for a key that exists: a misspelt one fails
+    flags = {k: v for k, v in (overrides or {}).items() if v is not None or k not in _TYPES}
     _check(flags, "flags")
     values.update(flags)
     if "corpus" not in values:

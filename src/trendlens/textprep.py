@@ -76,10 +76,15 @@ class StopwordList:
     def __len__(self) -> int:
         return len(self.entries)
 
+    @classmethod
+    def union(cls, *lists: StopwordList) -> StopwordList:
+        """Every entry of ``lists`` once, in order, under the last list's tier."""
+        return cls(tuple(dict.fromkeys(e for sl in lists for e in sl.entries)), lists[-1].tier)
+
 
 def filter_stopwords(stream: TokenStream, *lists: StopwordList) -> TokenStream:
     """Drop every token that appears in any of the given lists."""
-    stop = frozenset().union(*(sl._set for sl in lists))
+    stop = lists[0]._set if len(lists) == 1 else frozenset().union(*(sl._set for sl in lists))
     return TokenStream(stream.doc_id, tuple(t for t in stream.tokens if t not in stop))
 
 

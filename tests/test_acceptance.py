@@ -105,7 +105,7 @@ def test_c02_gradients_match_finite_differences_both_modes():
             )
             negatives = None
             if mode == "negative_sampling":
-                negatives = UnigramSampler(vocab.counts).draw(rng, 3, pair.context)
+                negatives = UnigramSampler(vocab.counts).draw(rng, 3, [pair.context])[0]
             assert _gradient_error(model, pair, negatives) < 1e-5
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"gradient sweep took {elapsed:.2f}s"

@@ -1,9 +1,11 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from trendlens import embedding
 from trendlens.embedding import (
     ContextPair,
     EmbeddingModel,
@@ -190,7 +192,7 @@ class TestPairLoss:
             pair = ContextPair(int(rng.integers(0, V)), int(rng.integers(0, V)))
             negatives = None
             if mode == "negative_sampling":
-                negatives = UnigramSampler(model.vocab.counts).draw(rng, 3, pair.context)
+                negatives = UnigramSampler(model.vocab.counts).draw(rng, 3, [pair.context])[0]
             assert gradient_relative_error(model, pair, negatives) < 1e-5
 
     @pytest.mark.parametrize("mode", ["full_softmax", "negative_sampling"])
@@ -232,13 +234,13 @@ class TestSampler:
     def test_never_draws_excluded(self):
         sampler = UnigramSampler((5, 3, 2))
         rng = np.random.default_rng(0)
-        draws = [sampler.draw(rng, 4, exclude=1) for _ in range(50)]
+        draws = [sampler.draw(rng, 4, [1])[0] for _ in range(50)]
         assert all(1 not in d for d in draws)
 
     def test_deterministic_for_seed(self):
         sampler = UnigramSampler((5, 3, 2, 7))
-        a = sampler.draw(np.random.default_rng(42), 10, 0)
-        b = sampler.draw(np.random.default_rng(42), 10, 0)
+        a = sampler.draw(np.random.default_rng(42), 10, [0]).tolist()
+        b = sampler.draw(np.random.default_rng(42), 10, [0]).tolist()
         assert a == b
 
     @pytest.mark.parametrize("counts, exclude", [((5, 3, 2, 7), 3), ((1, 1), 0), ((50, 1, 1), 0)])
@@ -248,14 +250,22 @@ class TestSampler:
         cum = np.cumsum(weights / weights.sum())
         batched, scalar = np.random.default_rng(5), np.random.default_rng(5)
         for k in (1, 5, 5, 12, 3):
-            assert sampler.draw(batched, k, exclude) == scalar_draw(cum, scalar, k, exclude)
+            assert sampler.draw(batched, k, [exclude])[0].tolist() == scalar_draw(cum, scalar, k, exclude)
             # interleaved shuffles see the generator in the same state
+            assert batched.permutation(7).tolist() == scalar.permutation(7).tolist()
+        # many contexts per call, most of them the excluded word's: rejections
+        # force top-ups mid-call, and each pair excludes its own context
+        contexts = [exclude if i % 3 else i % len(counts) for i in range(40)]
+        for k in (1, 5, 12):
+            drawn = sampler.draw(batched, k, contexts)
+            assert drawn.shape == (len(contexts), k)
+            assert drawn.tolist() == [scalar_draw(cum, scalar, k, c) for c in contexts]
             assert batched.permutation(7).tolist() == scalar.permutation(7).tolist()
         assert batched.bit_generator.state == scalar.bit_generator.state
 
     def test_tiny_vocab_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            UnigramSampler((3,)).draw(np.random.default_rng(0), 1, 0)
+            UnigramSampler((3,)).draw(np.random.default_rng(0), 1, [0])
 
 
 TWO_TOPIC_SEED = 11
@@ -353,6 +363,17 @@ class TestTrain:
             match = re.fullmatch(r"epoch \d/3: mean loss (\S+), (\d+) pairs/s", line)
             assert match and math.isfinite(float(match[1])) and float(match[1]) > 0
 
+    def test_rising_mean_loss_warns(self, caplog):
+        # a learning rate of 1 overshoots: the mean loss rises, yet stays finite
+        config = TrainConfig(dim=4, window=2, epochs=4, learning_rate=1.0, min_count=1, seed=2)
+        with caplog.at_level("INFO", logger="trendlens.embedding"):
+            train(oracle_streams(3, docs=4, words=6, length=10), config)
+        means = [r.args[2] for r in caplog.records if r.levelname == "INFO"]
+        rose = [f"epoch {e + 1}/4" for e in range(1, 4) if means[e] > means[e - 1]]
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert rose and [w.split(":")[0] for w in warned] == rose
+        assert all("mean loss rose from" in w for w in warned)
+
     def test_empty_streams_rejected(self):
         with pytest.raises(ValueError):
             train([], TrainConfig(min_count=1))
@@ -374,12 +395,13 @@ def scalar_draw(cum, rng, k, exclude):
     return out
 
 
-def oracle_train(streams, config):
+def oracle_train(streams, config, means=None):
     """train() as a per-pair loop over pair_loss_and_gradients and a plain SGD step.
 
     The reference the trainer's lean loop must match bit for bit: same
     initialization, shuffles, negatives and learning-rate schedule, with
     every pair built as a ContextPair and its negatives drawn one at a time.
+    Each epoch's mean loss is appended to ``means`` when it is given.
     """
     vocab = build_vocab(streams, config.min_count)
     V, D = len(vocab), config.dim
@@ -391,6 +413,7 @@ def oracle_train(streams, config):
     cum = np.cumsum(weights / weights.sum())
     step = 0
     for epoch in range(config.epochs):
+        loss_sum = 0.0
         for idx in rng.permutation(len(pairs)):
             pair = ContextPair(*pairs[idx])
             negatives = None
@@ -402,7 +425,10 @@ def oracle_train(streams, config):
             lr = config.learning_rate * max(_LR_FLOOR_FRACTION, 1.0 - step / total_steps)
             model.input_vectors[grads.center] -= lr * grads.center_grad
             model.output_vectors[grads.output_rows] -= lr * grads.output_grads
+            loss_sum += loss
             step += 1
+        if means is not None:
+            means.append(loss_sum / len(pairs))
     return model
 
 
@@ -412,38 +438,92 @@ def oracle_streams(seed, docs=12, words=20, length=15):
     return [TokenStream(f"d{i}", tuple(rng.choice(lexicon, size=length))) for i in range(docs)]
 
 
+def assert_matches_oracle(streams, config, caplog):
+    """Train both ways; the weights and each epoch's logged mean loss (summed
+    in the same order) must equal the oracle's."""
+    means = []
+    caplog.clear()
+    with caplog.at_level("INFO", logger="trendlens.embedding"):
+        lean, oracle = train(streams, config), oracle_train(streams, config, means)
+    np.testing.assert_array_equal(lean.input_vectors, oracle.input_vectors)
+    np.testing.assert_array_equal(lean.output_vectors, oracle.output_vectors)
+    assert [r.args[2] for r in caplog.records if r.levelname == "INFO"] == means
+    return lean
+
+
+def assert_diverges_as_oracle(streams, config):
+    with pytest.raises(TrainingDiverged) as expected:
+        oracle_train(streams, config)
+    with pytest.raises(TrainingDiverged) as actual:
+        train(streams, config)
+    assert (actual.value.epoch, actual.value.step) == (expected.value.epoch, expected.value.step)
+
+
+# three words and five negatives: every negative_sampling draw repeats a row
+REPEATING = [stream("a", "x y z x y z x x y"), stream("b", "z z y x y")]
+
+
 class TestLeanLoopMatchesOracle:
     @pytest.mark.parametrize("mode", ["full_softmax", "negative_sampling"])
     @pytest.mark.parametrize("dim", [3, 16])
     @pytest.mark.parametrize("seed", [7, 1, 123])
-    def test_bit_identical(self, mode, dim, seed):
+    def test_bit_identical(self, mode, dim, seed, caplog):
         config = TrainConfig(dim=dim, window=3, epochs=2, learning_rate=0.05, min_count=2,
                              mode=mode, seed=seed)
-        streams = oracle_streams(seed)
-        lean, oracle = train(streams, config), oracle_train(streams, config)
-        np.testing.assert_array_equal(lean.input_vectors, oracle.input_vectors)
-        np.testing.assert_array_equal(lean.output_vectors, oracle.output_vectors)
-        assert lean.output_vectors.any()
+        assert assert_matches_oracle(oracle_streams(seed), config, caplog).output_vectors.any()
 
     @pytest.mark.parametrize("mode", ["full_softmax", "negative_sampling"])
-    def test_repeated_negatives_bit_identical(self, mode):
-        # three words and five negatives: every negative_sampling draw repeats a row
-        streams = [stream("a", "x y z x y z x x y"), stream("b", "z z y x y")]
+    def test_repeated_negatives_bit_identical(self, mode, caplog):
         config = TrainConfig(dim=5, window=2, epochs=3, min_count=1, mode=mode, negatives=5, seed=4)
-        lean, oracle = train(streams, config), oracle_train(streams, config)
-        np.testing.assert_array_equal(lean.input_vectors, oracle.input_vectors)
-        np.testing.assert_array_equal(lean.output_vectors, oracle.output_vectors)
+        assert_matches_oracle(REPEATING, config, caplog)
 
     @pytest.mark.parametrize("mode", ["full_softmax", "negative_sampling"])
     def test_divergence_reported_at_same_step(self, mode):
         streams = oracle_streams(3, docs=4, words=6, length=10)
         config = TrainConfig(dim=4, window=2, epochs=50, learning_rate=1e18, min_count=1,
                              mode=mode, seed=2)
-        with pytest.raises(TrainingDiverged) as expected:
-            oracle_train(streams, config)
-        with pytest.raises(TrainingDiverged) as actual:
-            train(streams, config)
-        assert (actual.value.epoch, actual.value.step) == (expected.value.epoch, expected.value.step)
+        assert_diverges_as_oracle(streams, config)
+
+    @pytest.mark.parametrize("mode, negatives", [
+        ("full_softmax", 5), ("negative_sampling", 5), ("negative_sampling", 12)])
+    def test_small_chunks_match_oracle(self, mode, negatives, caplog, monkeypatch):
+        # 7-pair chunks: every epoch crosses chunk boundaries, draws that hit a
+        # context top up mid-chunk, the diverging step shares its chunk with
+        # steps after it, and 12 negatives sum 13 loss terms per row
+        monkeypatch.setattr(embedding, "_CHUNK_PAIRS", 7)
+        config = TrainConfig(dim=16, window=3, epochs=2, learning_rate=0.05, min_count=2,
+                             mode=mode, negatives=negatives, seed=1)
+        assert_matches_oracle(oracle_streams(1), config, caplog)
+        config = TrainConfig(dim=5, window=2, epochs=3, min_count=1, mode=mode,
+                             negatives=negatives, seed=4)
+        assert_matches_oracle(REPEATING, config, caplog)
+        config = TrainConfig(dim=4, window=2, epochs=50, learning_rate=1e18, min_count=1,
+                             mode=mode, negatives=negatives, seed=2)
+        assert_diverges_as_oracle(oracle_streams(3, docs=4, words=6, length=10), config)
+
+
+def test_training_memory_bounded_by_pair_array():
+    """Peak memory of train(), less the two weight matrices, is at most 40
+    bytes per pair (the pair array's 16 and the shuffle's 8, with room to
+    spare) plus a fixed allowance for what one chunk builds; Python lists of
+    all the pairs would take ~90 bytes per pair more.  numpy reports its
+    buffers to tracemalloc, so the count does not depend on the machine."""
+    bytes_per_pair, chunk_allowance = 40, 2 << 20
+    rng = np.random.default_rng(0)
+    lexicon = [f"w{i:03d}" for i in range(500)]
+    streams = [TokenStream(f"d{i}", tuple(rng.choice(lexicon, size=50).tolist())) for i in range(200)]
+    config = TrainConfig(dim=8, window=5, epochs=1, min_count=1, seed=1)
+    vocab = build_vocab(streams, 1)
+    n_pairs = sum(len(generate_pairs(s, vocab, config.window)) for s in streams)
+    assert n_pairs == 94_000
+    tracemalloc.start()
+    try:
+        model = train(streams, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    weights = model.input_vectors.nbytes + model.output_vectors.nbytes
+    assert peak - weights <= bytes_per_pair * n_pairs + chunk_allowance
 
 
 class TestTrainConfigValidation:

@@ -6,11 +6,14 @@ from pathlib import Path
 import pytest
 
 from trendlens.cli import EXIT_OK, main
-from trendlens.embedding import TrainConfig
+from trendlens.corpus import load_corpus
+from trendlens.embedding import TrainConfig, train
 from trendlens.pipeline import (
     CurationRequired,
     PipelineConfig,
     PipelineStageError,
+    _load_stopwords,
+    _prep_streams,
     resolve_config,
     run_pipeline,
 )
@@ -41,6 +44,21 @@ def fixture_run(tmp_path_factory):
 
 
 class TestFixtureRun:
+    def test_epoch_log_lines_unchanged_and_loss_falls(self, caplog):
+        # the fixture's per-epoch losses, pinned; no epoch warns of a rising loss
+        config = fixture_config("unused")
+        base, extras = _load_stopwords(config.base_stopwords, config.extra_stopwords)
+        streams = _prep_streams(load_corpus(config.corpus), base, *extras)
+        with caplog.at_level("INFO", logger="trendlens.embedding"):
+            train(streams, config.train)
+        assert [r.getMessage().split(",")[0] for r in caplog.records] == [
+            "epoch 1/5: mean loss 3.814391",
+            "epoch 2/5: mean loss 2.701748",
+            "epoch 3/5: mean loss 2.460940",
+            "epoch 4/5: mean loss 2.054708",
+            "epoch 5/5: mean loss 1.897513",
+        ]
+
     def test_emits_all_report_files(self, fixture_run):
         out_dir, _ = fixture_run
         for name in FINAL_OUTPUTS + ["config.resolved", "keywords.csv", "model.w2v"]:
@@ -311,6 +329,10 @@ class TestResolveConfig:
     def test_unknown_override_key_rejected(self):
         with pytest.raises(ValueError, match=re.escape("flags: unknown config key(s): bogus, typo")):
             resolve_config(None, {"corpus": "x.jsonl", "typo": 1, "bogus": [2]})
+
+    def test_unknown_override_key_set_to_none_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("flags: unknown config key(s): bogus")):
+            resolve_config(None, {"corpus": "x.jsonl", "bogus": None})
 
     @pytest.mark.parametrize("key, value, bound", [
         ("top_n", 0, ">= 1"),

@@ -114,6 +114,13 @@ class TestFilterStopwords:
         )
         assert out.tokens == ("detecting", "threats")
 
+    def test_union_filters_as_its_lists_do(self):
+        base, curated = stoplist("for", "the", tier="base"), stoplist("the", "method", tier="curated")
+        union = StopwordList.union(base, curated)
+        assert (union.entries, union.tier) == (("for", "the", "method"), "curated")
+        s = stream("the", "method", "for", "detecting", "threats")
+        assert filter_stopwords(s, union) == filter_stopwords(s, base, curated)
+
     def test_idempotent_and_disjoint(self):
         s = stream("a", "b", "c", "b")
         lst = stoplist("b")
