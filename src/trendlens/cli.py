@@ -26,7 +26,6 @@ from .pipeline import (
     _TYPES,
     CurationRequired,
     PipelineConfig,
-    PipelineStageError,
     _check,
     _extract,
     _load_stopwords,
@@ -346,9 +345,6 @@ def main(argv: list[str] | None = None) -> int:
     except CurationRequired as exc:
         log.error("%s", exc)
         return EXIT_CURATION
-    except PipelineStageError as exc:
-        log.error("%s", exc)
-        return EXIT_FAILURE
     except Exception as exc:
         log.error("%s", exc)
         return EXIT_FAILURE

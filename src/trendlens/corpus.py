@@ -131,8 +131,6 @@ def _load_jsonl(path: Path) -> list[tuple[PatentDocument, str]]:
                 raise CorpusError(f"{where}: invalid JSON: {exc}") from None
             if not isinstance(record, dict):
                 raise CorpusError(f"{where}: expected a JSON object")
-            if "year" in record and not isinstance(record["year"], (int, str)):
-                raise CorpusError(f"{where}: year must be an integer")
             docs.append((_record_to_document(record, where), where))
     return docs
 

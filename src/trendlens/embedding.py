@@ -20,10 +20,12 @@ skips the per-pair objects and checks, and the oracle test in
 The loop walks each epoch's shuffle in chunks of a fixed size, so its
 memory is the pair array and the shuffle plus one chunk's worth.  A
 chunk's negatives come from one sampler call, and in negative_sampling
-mode its losses are taken together at the chunk's end; a step that could
-diverge takes its loss at once, so divergence is still reported at its
-exact epoch and step.  Each epoch logs its mean loss and pairs/s at INFO,
-and a WARNING when the mean loss rose from the epoch before.
+mode its losses are taken together at the chunk's end.  Divergence is
+checked in one place, the epoch loop: it walks each chunk's losses in
+step order and stops at the first that is not finite, so the reported
+epoch and step are the oracle's (steps after it in its chunk change only
+weights that are thrown away).  Each epoch logs its mean loss and pairs/s
+at INFO, and a WARNING when the mean loss rose from the epoch before.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ _LR_FLOOR_FRACTION = 1e-4
 _NEGATIVE_POWER = 0.75
 # pairs per chunk of an epoch's shuffle; at 2048 a fixture run's peak RSS rose by 0.35 MiB
 _CHUNK_PAIRS = 1024
-_SAFE_SCORE_SUM = 1e300  # below this sum of |scores|, a negative-sampling loss is finite
 
 log = logging.getLogger(__name__)
 
@@ -353,7 +354,10 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
     Input vectors start uniform in [-0.5/D, +0.5/D] from the seed, output
     vectors start at zero.  Each epoch shuffles all pairs (seeded) and the
     learning rate decays linearly to 1e-4 of its initial value.  The run
-    is fully deterministic.
+    is fully deterministic.  Each epoch's shuffle is walked in chunks of at
+    most ``_CHUNK_PAIRS``; a chunk's learning rates and negatives are made
+    before its steps run, drawing from the generator in the oracle's order.
+    :class:`TrainingDiverged` reports the first non-finite loss.
     """
     config.validate()
     streams = list(streams)
@@ -383,84 +387,73 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
         return model
 
     sampler = UnigramSampler(vocab.counts) if config.mode == "negative_sampling" else None
-    _train_sequential(model, pairs, config, rng, sampler, total_steps)
+    n, step, previous = len(pairs), 0, math.inf
+    # a diverging step overflows; its loss is checked below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            started, loss_sum = time.perf_counter(), 0.0
+            perm = rng.permutation(n)
+            for a in range(0, n, _CHUNK_PAIRS):
+                chunk = pairs[perm[a:a + _CHUNK_PAIRS]]
+                decay = 1.0 - np.arange(step, step + len(chunk)) / total_steps
+                lrs = (config.learning_rate * np.maximum(_LR_FLOOR_FRACTION, decay)).tolist()
+                centers, contexts = chunk.T.tolist()
+                if sampler is None:
+                    losses = _softmax_steps(model, centers, contexts, lrs)
+                else:
+                    negatives = sampler.draw(rng, config.negatives, contexts)
+                    rows = np.concatenate([chunk[:, 1:], negatives], axis=1)
+                    losses = _sampling_steps(model, centers, rows, lrs)
+                for i, loss in enumerate(losses):  # in step order, as the oracle checks and sums them
+                    if not math.isfinite(loss):
+                        raise TrainingDiverged(epoch, step + i)
+                    loss_sum += loss
+                step += len(chunk)
+            mean, seconds = loss_sum / n, time.perf_counter() - started
+            log.info(
+                "epoch %d/%d: mean loss %.6f, %.0f pairs/s",
+                epoch + 1, config.epochs, mean, n / seconds if seconds > 0 else 0.0,
+            )
+            if mean > previous:
+                log.warning("epoch %d/%d: mean loss rose from %.6f to %.6f",
+                            epoch + 1, config.epochs, previous, mean)
+            previous = mean
     if not (np.all(np.isfinite(model.input_vectors)) and np.all(np.isfinite(model.output_vectors))):
         raise TrainingDiverged(config.epochs - 1, total_steps - 1)
     return model
 
 
-def _train_sequential(model, pairs, config, rng, sampler, total_steps) -> None:
-    """Plain SGD over the shuffled pairs, one pair at a time, walked in
-    chunks of at most ``_CHUNK_PAIRS``.  A chunk's learning rates and
-    negatives are made before its steps run, drawing from the generator in
-    the oracle's order."""
-    n, step, previous = len(pairs), 0, math.inf
-    for epoch in range(config.epochs):
-        started, loss_sum = time.perf_counter(), 0.0
-        perm = rng.permutation(n)
-        for a in range(0, n, _CHUNK_PAIRS):
-            chunk = pairs[perm[a:a + _CHUNK_PAIRS]]
-            decay = 1.0 - np.arange(step, step + len(chunk)) / total_steps
-            lrs = (config.learning_rate * np.maximum(_LR_FLOOR_FRACTION, decay)).tolist()
-            centers, contexts = chunk.T.tolist()
-            if sampler is None:
-                losses = _softmax_steps(model, centers, contexts, lrs, epoch, step)
-            else:
-                negatives = sampler.draw(rng, config.negatives, contexts)
-                rows = np.concatenate([chunk[:, 1:], negatives], axis=1)
-                losses = _sampling_steps(model, centers, rows, lrs, epoch, step)
-            for loss in losses:  # in step order, as the oracle sums them
-                loss_sum += loss
-            step += len(chunk)
-        mean, seconds = loss_sum / n, time.perf_counter() - started
-        log.info(
-            "epoch %d/%d: mean loss %.6f, %.0f pairs/s",
-            epoch + 1, config.epochs, mean, n / seconds if seconds > 0 else 0.0,
-        )
-        if mean > previous:
-            log.warning("epoch %d/%d: mean loss rose from %.6f to %.6f",
-                        epoch + 1, config.epochs, previous, mean)
-        previous = mean
-
-
-def _softmax_steps(model, centers, contexts, lrs, epoch, first_step) -> list[float]:
-    """One chunk's full_softmax steps; returns their losses.
+def _softmax_steps(model, centers, contexts, lrs) -> list[float]:
+    """One chunk's full_softmax steps; returns their losses, ending with
+    ``inf`` at the first step whose scores are not finite.
 
     A lean form of :func:`pair_loss_and_gradients` and the SGD update: the
     same numpy operations on the same operands.  ``h`` views the center's
     input row, so every product reading it is taken before the row changes.
     """
     inp, out, losses = model.input_vectors, model.output_vectors, []
-    for i, (center, context, lr) in enumerate(zip(centers, contexts, lrs)):
+    for center, context, lr in zip(centers, contexts, lrs):
         h = inp[center]
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = out @ h
-        loss = math.inf
-        if np.isfinite(u).all():
-            m = u.max()
-            e = np.exp(u - m)
-            total = e.sum()
-            loss = float(m + math.log(total) - u[context])
-        if not math.isfinite(loss):
-            raise TrainingDiverged(epoch, first_step + i)
+        u = out @ h
+        if not np.isfinite(u).all():
+            losses.append(math.inf)
+            break
+        m = u.max()
+        e = np.exp(u - m)
+        total = e.sum()
+        losses.append(float(m + math.log(total) - u[context]))
         e /= total
         e[context] -= 1.0
         center_grad = out.T @ e
         out -= lr * (e[:, None] * h)  # the multiply np.outer(e, h) does
         h -= lr * center_grad
-        losses.append(loss)
     return losses
 
 
-def _sampling_steps(model, centers, rows, lrs, epoch, first_step) -> list[float]:
+def _sampling_steps(model, centers, rows, lrs) -> list[float]:
     """One chunk's negative_sampling steps, as :func:`_softmax_steps`, with
-    each pair's context and negatives in ``rows``.
-
-    The losses are taken together at the chunk's end.  Only a step whose
-    |scores| sum to ``_SAFE_SCORE_SUM`` or more (or to nan) can have a
-    non-finite loss, so such a step takes its loss at once, as the oracle
-    does, and training stops there if that loss is not finite.
-    """
+    each pair's context and negatives in ``rows``.  The losses are taken
+    together at the chunk's end, from each step's scores."""
     inp, out = model.input_vectors, model.output_vectors
     # -log sigma(u_pos), -log sigma(-u_neg)
     signs = np.array([-1.0] + [1.0] * (rows.shape[1] - 1))
@@ -472,10 +465,6 @@ def _sampling_steps(model, centers, rows, lrs, epoch, first_step) -> list[float]
         w = out.take(r, axis=0)
         u = w @ h
         scores[i] = u
-        if not sum(map(abs, u.tolist())) < _SAFE_SCORE_SUM:
-            terms = np.logaddexp(0.0, u * signs)
-            if not math.isfinite(terms[0] + terms[1:].sum()):
-                raise TrainingDiverged(epoch, first_step + i)
         # _sigmoid without the masks: 1/(1+e^-u) for u >= 0, e^u/(1+e^u) below
         e = np.exp(-np.abs(u))
         g = np.exp(np.minimum(u, 0.0)) / (1.0 + e)

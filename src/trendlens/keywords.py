@@ -94,17 +94,17 @@ class ReferenceEmbedder:
         return self.model.input_vectors[ids].mean(axis=0)
 
 
-class FileEmbedder:
+class FileEmbedder(ReferenceEmbedder):
     """Embedder backed by externally produced vector files.
 
-    Document vectors are keyed by doc id, word vectors by token; unknown
-    keys are simply absent.
+    Word vectors come from a model file and are looked up as
+    :class:`ReferenceEmbedder` does; document vectors are keyed by doc id,
+    and an unknown doc id has none.
     """
 
-    def __init__(self, doc_vectors: Mapping[str, np.ndarray], word_vectors: Mapping[str, np.ndarray], dim: int):
-        self._docs = dict(doc_vectors)
-        self._words = dict(word_vectors)
-        self._dim = dim
+    def __init__(self, model: EmbeddingModel, doc_vectors: Mapping[str, np.ndarray]):
+        super().__init__(model)
+        self._docs = doc_vectors
 
     @classmethod
     def from_files(cls, doc_vectors_path: str | Path, word_vectors_path: str | Path) -> "FileEmbedder":
@@ -114,18 +114,7 @@ class FileEmbedder:
             raise ModelFormatError(
                 f"dimension mismatch: document vectors are {doc_dim}-d, word vectors are {model.dim}-d"
             )
-        words = {w: model.vector(w) for w in model.vocab.words}
-        return cls(docs, words, doc_dim)
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    def embed_word(self, token: str) -> np.ndarray | None:
-        vec = self._words.get(token)
-        if vec is None or not vec.any():
-            return None
-        return vec
+        return cls(model, docs)
 
     def embed_document(self, stream: TokenStream) -> np.ndarray | None:
         return self._docs.get(stream.doc_id)

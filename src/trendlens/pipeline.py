@@ -211,13 +211,16 @@ def resolve_config(
     resolve against the config file's directory; the output directory and
     override paths resolve against the working directory.  An unknown key,
     a mistyped value, or an analysis value out of range fails naming its
-    key and source: the config file, or ``flags`` for the overrides.
+    key and source: the config file, or ``flags`` for the overrides.  A
+    config file that is not valid JSON fails naming ``path:line``.
     """
     values: dict[str, Any] = {}
     if config_path is not None:
         config_path = Path(config_path)
-        with open(config_path, encoding="utf-8") as fh:
-            values = json.load(fh)
+        try:
+            values = json.loads(config_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{config_path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
         if not isinstance(values, dict):
             raise ValueError(f"{config_path}: config must be a JSON object")
         _check(values, str(config_path))

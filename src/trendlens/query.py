@@ -209,8 +209,6 @@ class _Parser:
         return self._phrase(text, words[-1].wildcard, words[0].pos)
 
     def _phrase(self, text: str, wildcard: bool, pos: int) -> Phrase:
-        if not text.strip():
-            raise QueryParseError("empty term", pos)
         if not tokenize(text):
             raise QueryParseError("empty term", pos)
         return Phrase(text.strip(), wildcard)

@@ -2,6 +2,8 @@ import argparse
 import csv
 import inspect
 import json
+import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -242,6 +244,34 @@ class TestTrainSubcommand:
         assert keywords and "gamma" not in keywords
 
 
+@pytest.mark.parametrize("mode", ["full_softmax", "negative_sampling"])
+class TestTrainingDivergence:
+    """A learning rate of 1e18 overflows the weights within the first epoch."""
+
+    FLAGS = ["--dim", "4", "--epochs", "50", "--learning-rate", "1e18"]
+
+    def run_quietly(self, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        return code
+
+    def test_train_fails_and_writes_no_model(self, tmp_path, caplog, mode):
+        model = tmp_path / "model.w2v"
+        argv = ["train", "--input", str(FIXTURE / "corpus.jsonl"), *self.FLAGS, "--mode", mode]
+        assert self.run_quietly([*argv, "--out", str(model)]) == EXIT_FAILURE
+        assert re.search(r"training diverged \(non-finite loss\) at epoch \d+, step \d+", caplog.text)
+        assert not model.exists()
+
+    def test_pipeline_fails_in_train_stage(self, tmp_path, caplog, mode):
+        out_dir = tmp_path / "out"
+        argv = ["pipeline", "--config", str(FIXTURE / "config.json"), *self.FLAGS, "--mode", mode]
+        assert self.run_quietly([*argv, "--out-dir", str(out_dir)]) == EXIT_FAILURE
+        assert "stage 'train' failed: training diverged (non-finite loss) at epoch" in caplog.text
+        assert not (out_dir / "model.w2v").exists()
+
+
 class TestExtractSubcommand:
     def setup_model(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -397,6 +427,12 @@ class TestPipelineConfigPrecedence:
             caplog.clear()
             assert main(["pipeline", "--config", str(config)]) == EXIT_FAILURE
             assert f"unknown config key(s): {next(iter(extra))}" in caplog.text
+
+    def test_invalid_json_config_is_failure_naming_line(self, tmp_path, caplog):
+        config = tmp_path / "config.json"
+        config.write_text('{"corpus": "x.jsonl",\n  dim: 4}\n')
+        assert main(["pipeline", "--config", str(config)]) == EXIT_FAILURE
+        assert f"{config}:2: invalid JSON: Expecting property name" in caplog.text
 
     def test_mistyped_config_value_is_failure(self, tmp_path, caplog):
         config = tmp_path / "config.json"

@@ -279,6 +279,16 @@ class TestResolveConfig:
         assert config.corpus == str(tmp_path / "data.jsonl")
         assert config.extra_stopwords == (str(tmp_path / "s.txt"),)
 
+    @pytest.mark.parametrize("text, line, error", [
+        ('{"corpus": "x.jsonl",\n  dim: 4}\n', 2, "Expecting property name enclosed in double quotes"),
+        ('\ufeff{"corpus": "x.jsonl"}\n', 1, "Unexpected UTF-8 BOM"),
+    ])
+    def test_invalid_json_names_file_and_line(self, tmp_path, text, line, error):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{config_path}:{line}: invalid JSON: {error}")):
+            resolve_config(config_path, {})
+
     def test_missing_corpus_key_rejected(self):
         with pytest.raises(ValueError, match="corpus"):
             resolve_config(None, {})
