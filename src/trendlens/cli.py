@@ -87,16 +87,12 @@ def _add_train_flags(parser):
     parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--negatives", type=int)
     parser.add_argument("--seed", type=int, help=f"default: $TRENDLENS_SEED or {TrainConfig.seed}")
-    parser.add_argument("--full-softmax-cap", type=int)
 
 
-def _train_flags(args) -> dict:
-    """The training flags given on the command line, keyed by TrainConfig field."""
-    return {k: getattr(args, k) for k in _TRAIN_TYPES if getattr(args, k) is not None}
-
-
-def _flag_train_config(args):
-    return _train_config(_train_flags(args), os.environ.get("TRENDLENS_SEED"))
+def _flag_train_config(args) -> TrainConfig:
+    """The TrainConfig for the training flags given on the command line."""
+    flags = {k: getattr(args, k) for k in _TRAIN_TYPES if getattr(args, k) is not None}
+    return _train_config(flags, os.environ.get("TRENDLENS_SEED"))
 
 
 def _read_query(args) -> str | None:
@@ -168,8 +164,8 @@ def cmd_stopwords(args) -> int:
 
 
 def cmd_train(args) -> int:
-    streams = _input_streams(args)
-    model = train(streams, _flag_train_config(args))
+    config = _flag_train_config(args)
+    model = train(_input_streams(args), config)
     save_model(model, args.out, full=args.full)
     log.info("trained %d-word, %d-d model -> %s", len(model.vocab), model.dim, args.out)
     return EXIT_OK

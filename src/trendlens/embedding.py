@@ -46,6 +46,7 @@ from .textprep import TokenStream
 __all__ = [
     "Vocabulary",
     "TrainConfig",
+    "TRAIN_RANGES",
     "EmbeddingModel",
     "ContextPair",
     "PairGradients",
@@ -72,6 +73,7 @@ _LR_FLOOR_FRACTION = 1e-4
 _NEGATIVE_POWER = 0.75
 # pairs per chunk of an epoch's shuffle; at 2048 a fixture run's peak RSS rose by 0.35 MiB
 _CHUNK_PAIRS = 1024
+_FULL_SOFTMAX_CAP = 20_000
 
 log = logging.getLogger(__name__)
 
@@ -107,12 +109,26 @@ class Vocabulary:
         return word in self.index
 
 
+# each training value's rule: TrainConfig applies it on construction, and
+# pipeline._check applies it once per settings source, naming the source
+TRAIN_RANGES = dict(
+    dim=(lambda v: v >= 1, ">= 1"),
+    window=(lambda v: v >= 1, ">= 1"),
+    epochs=(lambda v: v >= 0, ">= 0"),
+    learning_rate=(lambda v: v > 0, "> 0"),
+    min_count=(lambda v: v >= 1, ">= 1"),
+    mode=(lambda v: v in MODES, f"one of {', '.join(MODES)}"),
+    negatives=(lambda v: v >= 1, ">= 1"),
+    seed=(lambda v: v >= 0, ">= 0"),
+)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Skip-gram training hyperparameters.
+    """Skip-gram training hyperparameters, each within its TRAIN_RANGES rule.
 
     ``epochs`` may be zero, which leaves the model at its initialization.
-    ``full_softmax`` mode is refused above ``full_softmax_cap`` words
+    ``full_softmax`` mode is refused above ``_FULL_SOFTMAX_CAP`` words
     because its cost per pair is O(V).
     """
 
@@ -124,27 +140,12 @@ class TrainConfig:
     mode: str = "negative_sampling"
     negatives: int = 5
     seed: int = 1
-    full_softmax_cap: int = 20_000
 
-    def validate(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if self.window < 1:
-            raise ValueError("window must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        if self.min_count < 1:
-            raise ValueError("min_count must be positive")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.negatives < 1:
-            raise ValueError("negatives must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.full_softmax_cap < 1:
-            raise ValueError("full_softmax_cap must be positive")
+    def __post_init__(self):
+        for key, (ok, rule) in TRAIN_RANGES.items():
+            value = getattr(self, key)
+            if not ok(value):
+                raise ValueError(f"{key!r} must be {rule}, got {value!r}")
 
 
 class ContextPair(NamedTuple):
@@ -359,16 +360,15 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
     before its steps run, drawing from the generator in the oracle's order.
     :class:`TrainingDiverged` reports the first non-finite loss.
     """
-    config.validate()
     streams = list(streams)
     if not streams:
         raise ValueError("no token streams to train on")
     vocab = build_vocab(streams, config.min_count)
     V, D = len(vocab), config.dim
-    if config.mode == "full_softmax" and V > config.full_softmax_cap:
+    if config.mode == "full_softmax" and V > _FULL_SOFTMAX_CAP:
         raise ValueError(
-            f"full_softmax is limited to {config.full_softmax_cap} words (vocabulary has {V}); "
-            "use negative_sampling or raise full_softmax_cap"
+            f"full_softmax is limited to {_FULL_SOFTMAX_CAP} words (vocabulary has {V}); "
+            "use negative_sampling"
         )
 
     rng = np.random.default_rng(config.seed)

@@ -43,9 +43,6 @@ __all__ = [
 class Embedder(Protocol):
     """Vector source for documents and words sharing one dimension."""
 
-    @property
-    def dim(self) -> int: ...
-
     def embed_document(self, stream: TokenStream) -> np.ndarray | None: ...
 
     def embed_word(self, token: str) -> np.ndarray | None: ...
@@ -76,10 +73,6 @@ class ReferenceEmbedder:
         self.model = model
         self._index = model.vocab.index
         self._nonzero = model.input_vectors.any(axis=1).tolist()
-
-    @property
-    def dim(self) -> int:
-        return self.model.dim
 
     def embed_word(self, token: str) -> np.ndarray | None:
         i = self._index.get(token)
@@ -172,8 +165,8 @@ def save_extractions(results: Sequence[ExtractionResult], path: str | Path) -> N
 def load_extractions(path: str | Path) -> list[ExtractionResult]:
     """Read an extraction CSV back; documents keep file order.
 
-    A bad header, a wrong field count or a score that is not a finite
-    number fails with ``path:line``.
+    A bad header, a wrong field count, an empty doc id or keyword, or a
+    score that is not a finite number fails with ``path:line``.
     """
     grouped: dict[str, list[KeywordScore]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
@@ -186,6 +179,8 @@ def load_extractions(path: str | Path) -> list[ExtractionResult]:
             if len(row) != 4:
                 raise ValueError(f"{where}: expected 4 fields, got {len(row)}")
             doc_id, _rank, keyword, score = row
+            if not doc_id or not keyword:
+                raise ValueError(f"{where}: empty {'doc_id' if not doc_id else 'keyword'}")
             try:
                 value = float(score)
             except ValueError:

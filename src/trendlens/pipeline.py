@@ -13,12 +13,13 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
 from .corpus import Corpus, load_corpus, filter_corpus
-from .embedding import EmbeddingModel, TrainConfig, cosine_similarity, load_model, save_model, train
+from .embedding import TRAIN_RANGES, EmbeddingModel, TrainConfig, cosine_similarity, load_model, save_model, train
 from .keywords import Embedder, ExtractionResult, ReferenceEmbedder, extract_keywords, save_extractions
 from .query import parse_query
 from .svgplot import emit_scatter_svg
@@ -115,13 +116,14 @@ _TYPES = dict(
 )
 _NULLABLE = {"format", "query", "base_stopwords", "model"}
 _TYPE_NAMES = {list: "list of strings", dict: "object of strings"}
-# the values their stages accept, checked before anything is trained; top_k,
+# the values their stages accept, checked before anything is loaded; top_k,
 # the stopwords subcommand's candidate count, is a flag and no config key
 _RANGES = dict(
     top_n=(lambda v: v >= 1, ">= 1"),
     top_percent=(lambda v: 0 < v <= 100, "in (0, 100]"),
     cluster_threshold=(lambda v: v > 0, "> 0"),
     top_k=(lambda v: v >= 1, ">= 1"),
+    **TRAIN_RANGES,
 )
 _FLAG_TYPES = {**_TYPES, "top_k": int}
 
@@ -153,7 +155,7 @@ def _train_config(values: dict[str, Any], env_seed: str | None) -> TrainConfig:
     """The TrainConfig for checked ``values`` (defaults fill the rest).
 
     TRENDLENS_SEED (``env_seed``) supplies the seed when ``values`` has
-    none.
+    none; a bad one fails naming the variable.
     """
     values = dict(values)
     if "seed" not in values and env_seed is not None:
@@ -161,9 +163,8 @@ def _train_config(values: dict[str, Any], env_seed: str | None) -> TrainConfig:
             values["seed"] = int(env_seed)
         except ValueError:
             raise ValueError(f"TRENDLENS_SEED must be an integer, got {env_seed!r}") from None
-    config = TrainConfig(**values)
-    config.validate()
-    return config
+        _check({"seed": values["seed"]}, "TRENDLENS_SEED")
+    return TrainConfig(**values)
 
 
 def _load_stopwords(
@@ -210,9 +211,10 @@ def resolve_config(
     override of None is unset.  Relative input paths in the config file
     resolve against the config file's directory; the output directory and
     override paths resolve against the working directory.  An unknown key,
-    a mistyped value, or an analysis value out of range fails naming its
-    key and source: the config file, or ``flags`` for the overrides.  A
-    config file that is not valid JSON fails naming ``path:line``.
+    a mistyped value, or a value out of range fails naming its key and
+    source: the config file, ``flags`` for the overrides, or
+    TRENDLENS_SEED.  A config file that is not valid JSON fails naming
+    ``path:line``.
     """
     values: dict[str, Any] = {}
     if config_path is not None:
@@ -361,8 +363,9 @@ def plot_projection(path: str | Path, out_dir: str | Path) -> list[Path]:
 
     Plots read the 6-decimal coordinates the CSV holds, so the pipeline
     and a staged ``plot`` write the same bytes.  A header-only file plots
-    nothing; a malformed header or row fails with ``path:line``, and two
-    industries whose names map to one plot file fail before any is written.
+    nothing; a malformed header or row, or a coordinate that is not finite,
+    fails with ``path:line``, and two industries whose names map to one plot
+    file fail before any is written.
     """
     by_industry: dict[str, tuple[list[ProjectedPoint], dict[str, int]]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
@@ -379,6 +382,8 @@ def plot_projection(path: str | Path, out_dir: str | Path) -> list[Path]:
                 xy, label = (float(x), float(y)), int(cluster_id)
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
+            if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
+                raise ValueError(f"{where}: coordinates ({x}, {y}) are not finite")
             points, labels = by_industry.setdefault(industry, ([], {}))
             points.append(ProjectedPoint(keyword, None, xy))
             labels[keyword] = label
@@ -411,7 +416,8 @@ def analyze_extractions(
 
     Industries whose selection yields fewer than 3 keywords keep their
     frequency table but skip projection and clustering (PCA needs 3
-    points).
+    points).  A selected keyword the model lacks fails naming it and its
+    industry.
     """
     anchors = anchors or {}
     tables = aggregate_keywords(results, corpus)
@@ -422,6 +428,9 @@ def analyze_extractions(
             log.warning("industry %r has no extracted keywords; skipping", industry)
             continue
         selected = select_top_percent(table, top_percent)
+        missing = [k for k in selected if k not in model]
+        if missing:
+            raise ValueError(f"keyword {missing[0]!r} of industry {industry!r} is not in the model")
         keywords = [(k, table.counts[k]) for k in selected]
 
         anchor_token = anchors.get(industry)
@@ -458,10 +467,7 @@ def analyze_extractions(
         industries=industries,
         corpus_stats={
             "documents": len(corpus),
-            "industries": {
-                industry: sum(1 for d in corpus if d.industry == industry)
-                for industry in corpus.industries
-            },
+            "industries": {industry: tables[industry].total_docs for industry in corpus.industries},
         },
         # only fields the model file itself carries, so a report built from a
         # reloaded model matches one built from the freshly trained model

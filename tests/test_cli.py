@@ -41,6 +41,9 @@ class TestExitCodes:
         # the threaded trainer and its flag are gone
         stale = ["train", "--input", "c.jsonl", "--out", "m.w2v", "--workers", "2"]
         assert main(stale) == EXIT_USAGE
+        # full softmax's vocabulary cap is a constant, and --mode takes only a mode
+        assert main(["train", "--input", "c.jsonl", "--out", "m.w2v", "--full-softmax-cap", "3"]) == EXIT_USAGE
+        assert main(["train", "--input", "c.jsonl", "--out", "m.w2v", "--mode", "hier_softmax"]) == EXIT_USAGE
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -193,6 +196,18 @@ class TestTrainSubcommand:
             == EXIT_OK
         )
         assert model.read_text().splitlines()[0].split()[4] == "99"
+
+    def test_negative_seed_env_is_failure_naming_variable(self, tmp_path, monkeypatch, caplog):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, n=8)
+        monkeypatch.setenv("TRENDLENS_SEED", "-3")
+        out = tmp_path / "out"
+        for argv in (["train", "--input", str(corpus), "--out", str(out)],
+                     ["pipeline", "--corpus", str(corpus), "--out-dir", str(out)]):
+            caplog.clear()
+            assert main([*argv, "--dim", "4", "--epochs", "0", "--min-count", "1"]) == EXIT_FAILURE
+            assert "TRENDLENS_SEED: 'seed' must be >= 0, got -3" in caplog.text
+            assert not out.exists()
 
     def test_tokens_file_mentioning_abstract_is_read_as_tokens(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -350,6 +365,27 @@ class TestAnalyzeSubcommand:
         for industry, kws in selected.items():
             assert len(kws) == max(1, math.ceil(50 * len(distinct[industry]) / 100.0))
 
+    def test_keyword_missing_from_model_or_empty_is_failure(self, tmp_path, caplog):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, n=10)
+        model = tmp_path / "model.w2v"
+        assert main(["train", "--input", str(corpus), "--dim", "4", "--epochs", "0", "--min-count", "1",
+                     "--out", str(model)]) == EXIT_OK
+        keywords = tmp_path / "k.csv"
+        cases = [
+            ("P0,1,zzznotaword,0.9", "keyword 'zzznotaword' of industry 'medical' is not in the model"),
+            ("P0,1,,0.9", f"{keywords}:2: empty keyword"),
+            (",1,method,0.9", f"{keywords}:2: empty doc_id"),
+        ]
+        out_dir = tmp_path / "out"
+        for row, error in cases:
+            keywords.write_text(f"doc_id,rank,keyword,score\n{row}\n")
+            caplog.clear()
+            assert main(["analyze", "--keywords", str(keywords), "--corpus", str(corpus), "--model", str(model),
+                         "--out-dir", str(out_dir)]) == EXIT_FAILURE
+            assert error in caplog.text
+            assert not out_dir.exists()
+
 
 class TestPlotSubcommand:
     def test_header_only_projection_is_a_no_op(self, tmp_path):
@@ -368,12 +404,17 @@ class TestPlotSubcommand:
             (header + good + "medical,dose,0.1,0.2\n", 3),  # a field short
             (header + good + "medical,dose,zz,0.2,0\n", 3),  # non-numeric x
             (header + good + "medical,dose,0.1,0.2,1.5\n", 3),  # non-integer cluster id
+            (header + good + "medical,dose,nan,0.2,0\n", 3),  # non-finite coordinates
+            (header + good + "medical,dose,0.1,inf,0\n", 3),
+            (header + good + "medical,dose,-inf,0.2,0\n", 3),
         ]
+        out_dir = tmp_path / "plots"
         for text, line in cases:
             projection.write_text(text)
             caplog.clear()
-            assert main(["plot", "--projection", str(projection), "--out-dir", str(tmp_path)]) == EXIT_FAILURE
+            assert main(["plot", "--projection", str(projection), "--out-dir", str(out_dir)]) == EXIT_FAILURE
             assert f"{projection}:{line}:" in caplog.text, text
+            assert not out_dir.exists(), text
 
     def test_colliding_plot_names_fail_before_any_plot(self, tmp_path, caplog):
         projection = tmp_path / "projection.csv"
@@ -501,6 +542,15 @@ class TestAnalysisFlagRanges:
             ("pipeline", ["--cluster-threshold", "0"], "'cluster_threshold' must be > 0, got 0.0"),
             ("stopwords", ["--top-k", "0"], "'top_k' must be >= 1, got 0"),
             ("stopwords", ["--top-k", "-1"], "'top_k' must be >= 1, got -1"),
+            ("train", ["--dim", "0"], "'dim' must be >= 1, got 0"),
+            ("train", ["--window", "0"], "'window' must be >= 1, got 0"),
+            ("train", ["--epochs", "-1"], "'epochs' must be >= 0, got -1"),
+            ("train", ["--learning-rate", "0"], "'learning_rate' must be > 0, got 0.0"),
+            ("train", ["--min-count", "0"], "'min_count' must be >= 1, got 0"),
+            ("train", ["--negatives", "0"], "'negatives' must be >= 1, got 0"),
+            ("train", ["--seed", "-1"], "'seed' must be >= 0, got -1"),
+            ("stopwords", ["--model", "m.w2v", "--dim", "0"], "'dim' must be >= 1, got 0"),
+            ("pipeline", ["--learning-rate", "-0.5"], "'learning_rate' must be > 0, got -0.5"),
         ],
     )
     def test_out_of_range_flag_is_failure_naming_flag(self, tmp_path, caplog, command, flags, error):
@@ -509,6 +559,7 @@ class TestAnalysisFlagRanges:
         out = tmp_path / "out"
         inputs = {
             "stopwords": ["--input", str(corpus), "--dim", "4", "--min-count", "1", "--out", str(out)],
+            "train": ["--input", str(tmp_path / "missing.jsonl"), "--out", str(out)],  # checked before read
             "extract": ["--input", str(corpus), "--out", str(out)],
             "analyze": ["--keywords", "k.csv", "--corpus", str(corpus), "--model", "m.w2v",
                         "--out-dir", str(out)],

@@ -336,12 +336,11 @@ class TestTrain:
         intra, inter = mean_cosines(model, topic_a, topic_b)
         assert intra > inter
 
-    def test_full_softmax_cap_enforced(self):
+    def test_full_softmax_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(embedding, "_FULL_SOFTMAX_CAP", 3)
         streams = [stream("d", "a b c d e f")]
-        config = TrainConfig(
-            dim=2, epochs=1, min_count=1, mode="full_softmax", full_softmax_cap=3, seed=1
-        )
-        with pytest.raises(ValueError, match="full_softmax"):
+        config = TrainConfig(dim=2, epochs=1, min_count=1, mode="full_softmax", seed=1)
+        with pytest.raises(ValueError, match="full_softmax is limited to 3 words"):
             train(streams, config)
 
     def test_divergence_aborts_with_location(self):
@@ -542,8 +541,9 @@ class TestTrainConfigValidation:
         ],
     )
     def test_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            TrainConfig(**kwargs).validate()
+        key, = kwargs
+        with pytest.raises(ValueError, match=re.escape(f"'{key}' must be")):
+            TrainConfig(**kwargs)
 
     def test_defaults_follow_common_practice(self):
         config = TrainConfig()

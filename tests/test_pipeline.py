@@ -353,6 +353,15 @@ class TestResolveConfig:
         ("top_percent", float("nan"), "in (0, 100]"),
         ("cluster_threshold", 0, "> 0"),
         ("cluster_threshold", -1, "> 0"),
+        ("dim", 0, ">= 1"),
+        ("window", 0, ">= 1"),
+        ("epochs", -1, ">= 0"),
+        ("learning_rate", 0, "> 0"),
+        ("learning_rate", float("nan"), "> 0"),
+        ("min_count", 0, ">= 1"),
+        ("mode", "hier_softmax", "one of full_softmax, negative_sampling"),
+        ("negatives", 0, ">= 1"),
+        ("seed", -3, ">= 0"),
     ])
     def test_analysis_value_out_of_range_names_key_and_source(self, tmp_path, key, value, bound):
         config_path = tmp_path / "c.json"
