@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import load_corpus, save_corpus
+from .corpus import FORMATS, load_corpus, save_corpus
 from .embedding import MODES, TrainConfig, load_model, save_model, train
 from .keywords import FileEmbedder, ReferenceEmbedder, load_extractions
 from .pipeline import (
@@ -26,12 +26,13 @@ from .pipeline import (
     _TYPES,
     CurationRequired,
     PipelineConfig,
+    _candidates,
     _check,
     _extract,
-    _load_stopwords,
     _prep_streams,
     _query,
     _train_config,
+    _unused_training,
     analyze_extractions,
     plot_projection,
     resolve_config,
@@ -46,7 +47,7 @@ from .textprep import (
     load_token_streams,
     save_token_streams,
 )
-from .trends import DEFAULT_TOP_K, generate_stopword_candidates, save_candidates
+from .trends import DEFAULT_TOP_K
 
 log = logging.getLogger("trendlens")
 
@@ -127,8 +128,7 @@ def _input_streams(args) -> list[TokenStream]:
             streams = [filter_stopwords(s, stop) for s in streams]
         return streams
     corpus = load_corpus(args.input, getattr(args, "format", None))
-    base, extras = _load_stopwords(args.base_stopwords, args.extra_stopwords)
-    return _prep_streams(corpus, base, *extras)
+    return _prep_streams(corpus, args.base_stopwords, args.extra_stopwords)
 
 
 def cmd_ingest(args) -> int:
@@ -137,8 +137,8 @@ def cmd_ingest(args) -> int:
     if args.out:
         save_corpus(corpus, args.out)
     if args.tokens_out:
-        base, extras = _load_stopwords(args.base_stopwords, args.extra_stopwords)
-        save_token_streams(_prep_streams(corpus, base, *extras), args.tokens_out)
+        streams = _prep_streams(corpus, args.base_stopwords, args.extra_stopwords)
+        save_token_streams(streams, args.tokens_out)
     return EXIT_OK
 
 
@@ -148,18 +148,11 @@ def cmd_query(args) -> int:
 
 
 def cmd_stopwords(args) -> int:
-    corpus = load_corpus(args.input, args.format)
-    base, _ = _load_stopwords(args.base_stopwords, ())
-    streams = _prep_streams(corpus, base)
     if args.model:
-        model = load_model(args.model)
-    else:
-        model = train(streams, _flag_train_config(args))
-    candidates = generate_stopword_candidates(
-        streams, ReferenceEmbedder(model), args.top_k, args.top_n
-    )
-    save_candidates(candidates, args.out)
-    log.info("wrote %d candidates to %s", len(candidates), args.out)
+        _unused_training(k for k, v in vars(args).items() if v is not None)
+    streams = _prep_streams(load_corpus(args.input, args.format), args.base_stopwords, ())
+    model = load_model(args.model) if args.model else train(streams, _flag_train_config(args))
+    _candidates(streams, model, args.out, args.top_k, args.top_n)
     return EXIT_OK
 
 
@@ -245,7 +238,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ingest", help="validate a corpus file; optionally emit tokens")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--format", choices=("jsonl", "csv"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--out", metavar="FILE", help="write normalized corpus JSONL")
     p.add_argument("--tokens-out", metavar="FILE", help="write stopword-filtered token streams")
     _add_stopword_flags(p)
@@ -253,7 +246,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("query", help="filter a corpus with a boolean query")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--format", choices=("jsonl", "csv"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--query", metavar="EXPR")
     group.add_argument("--query-file", metavar="FILE")
@@ -262,7 +255,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("stopwords", help="emit stopword candidates for curation")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--format", choices=("jsonl", "csv"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--model", metavar="FILE", help="existing model (otherwise trains one)")
     p.add_argument("--base-stopwords", metavar="FILE")
     p.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
@@ -273,7 +266,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train skip-gram embeddings")
     p.add_argument("--input", required=True, metavar="FILE", help="corpus JSONL/CSV or tokens JSONL")
-    p.add_argument("--format", choices=("jsonl", "csv"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--out", required=True, metavar="FILE")
     p.add_argument("--full", action="store_true", help="also store the output matrix")
     _add_stopword_flags(p)
@@ -282,7 +275,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("extract", help="extract top keywords per document")
     p.add_argument("--input", required=True, metavar="FILE", help="corpus JSONL/CSV or tokens JSONL")
-    p.add_argument("--format", choices=("jsonl", "csv"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--model", metavar="FILE")
     p.add_argument("--doc-vectors", metavar="FILE", help="external document vectors")
     p.add_argument("--word-vectors", metavar="FILE", help="external word vectors")
@@ -294,7 +287,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="aggregate, select, project, and cluster keywords")
     p.add_argument("--keywords", required=True, metavar="FILE", help="extraction CSV")
     p.add_argument("--corpus", required=True, metavar="FILE")
-    p.add_argument("--format", choices=("jsonl", "csv"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--model", required=True, metavar="FILE")
     p.add_argument("--top-percent", type=float, default=PipelineConfig.top_percent)
     p.add_argument("--cluster-threshold", type=float, default=PipelineConfig.cluster_threshold)
@@ -310,7 +303,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pipeline", help="run every stage end to end")
     p.add_argument("--config", metavar="FILE", help="flat JSON config; flags override")
     p.add_argument("--corpus", metavar="FILE")
-    p.add_argument("--format", choices=("jsonl", "csv"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--query", metavar="EXPR")
     group.add_argument("--query-file", metavar="FILE")

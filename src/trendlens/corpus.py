@@ -18,6 +18,7 @@ __all__ = [
     "filter_corpus",
 ]
 
+FORMATS = ("jsonl", "csv")  # the corpus file formats, and the --format choices
 _FIELDS = ("id", "industry", "year", "title", "abstract")
 _YEAR_RANGE = (1900, 2100)
 
@@ -105,7 +106,7 @@ def load_corpus(path: str | Path, format: str | None = None) -> Corpus:
     path = Path(path)
     if format is None:
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if format not in ("jsonl", "csv"):
+    if format not in FORMATS:
         raise CorpusError(f"unknown corpus format {format!r}")
     docs = _load_jsonl(path) if format == "jsonl" else _load_csv(path)
     if not docs:

@@ -4,7 +4,8 @@ gate, train, extract, aggregate, project, cluster, and report emission.
 Every stage failure is wrapped in :class:`PipelineStageError` naming the
 stage.  A run without a curated stopword list stops after writing
 ``stopword_candidates.csv`` and raises :class:`CurationRequired`; the CLI
-maps that to exit code 2.
+maps that to exit code 2.  That halt and the ``stopwords`` subcommand
+share one step that ranks and writes the candidates.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .textprep import (
     tokenize,
 )
 from .trends import (
+    DEFAULT_TOP_K,
     DEFAULT_TOP_N,
     ClusterAssignment,
     ProjectedPoint,
@@ -56,9 +58,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-CANDIDATES_FILENAME = "stopword_candidates.csv"
-
 
 class PipelineStageError(RuntimeError):
     """A stage failed; ``stage`` names it, ``__cause__`` holds the error."""
@@ -104,7 +103,10 @@ class PipelineConfig:
         self.cluster_threshold = float(self.cluster_threshold)
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
+        values = dataclasses.asdict(self)
+        if self.model:  # a pretrained model was not trained
+            del values["train"]
+        return json.dumps(values, indent=2, sort_keys=True) + "\n"
 
 
 _TRAIN_TYPES = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
@@ -167,23 +169,35 @@ def _train_config(values: dict[str, Any], env_seed: str | None) -> TrainConfig:
     return TrainConfig(**values)
 
 
-def _load_stopwords(
-    base_path: str | None, extra_paths: Iterable[str]
-) -> tuple[StopwordList, list[StopwordList]]:
-    """The base list (bundled when ``base_path`` is None) and the curated lists."""
-    base = load_stopword_list(base_path, "base") if base_path else load_base_stopwords()
-    return base, [load_stopword_list(path, "curated") for path in extra_paths]
+def _unused_training(keys: Iterable[str]) -> None:
+    """Fail naming the training flags among ``keys``; a pretrained model trains nothing."""
+    unused = sorted(_TRAIN_TYPES.keys() & set(keys))
+    if unused:
+        raise ValueError(
+            f"flags: training key(s) unused with a pretrained model: {', '.join(unused)}"
+        )
 
 
-def _prep_streams(corpus: Corpus, *stopwords: StopwordList) -> list[TokenStream]:
-    """Tokenize each document's abstract and drop its stopwords, in one pass.
+def _prep_streams(corpus: Corpus, base: str | None, extras: Iterable[str]) -> list[TokenStream]:
+    """Tokenize each abstract and drop the stopwords of the ``base`` list file
+    (the bundled list when None) and the curated ``extras``, in one pass.
 
     Kept private so that the perfbench tracer, which wraps public
     functions only, still sees tokenize and filter_stopwords as called by
     run_pipeline or the CLI handler and counts them as the text stage.
     """
-    stop = StopwordList.union(*stopwords)
+    base_list = load_stopword_list(base, "base") if base else load_base_stopwords()
+    stop = StopwordList.union(base_list, *(load_stopword_list(p, "curated") for p in extras))
     return [filter_stopwords(TokenStream(d.id, tuple(tokenize(d.abstract))), stop) for d in corpus]
+
+
+def _candidates(
+    streams: list[TokenStream], model: EmbeddingModel, path: str | Path, top_k: int, top_n: int
+) -> None:
+    """Rank, save and count the stopword candidates; private as :func:`_prep_streams` is."""
+    candidates = generate_stopword_candidates(streams, ReferenceEmbedder(model), top_k, top_n)
+    save_candidates(candidates, path)
+    log.info("wrote %d candidates to %s", len(candidates), path)
 
 
 def _extract(
@@ -237,6 +251,8 @@ def resolve_config(
     flags = {k: v for k, v in (overrides or {}).items() if v is not None or k not in _TYPES}
     _check(flags, "flags")
     values.update(flags)
+    if values.get("model"):
+        _unused_training(flags)
     if "corpus" not in values:
         raise ValueError("config is missing the 'corpus' path")
     train_values = {key: values.pop(key) for key in _TRAIN_TYPES if key in values}
@@ -385,7 +401,7 @@ def plot_projection(path: str | Path, out_dir: str | Path) -> list[Path]:
             if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
                 raise ValueError(f"{where}: coordinates ({x}, {y}) are not finite")
             points, labels = by_industry.setdefault(industry, ([], {}))
-            points.append(ProjectedPoint(keyword, None, xy))
+            points.append(ProjectedPoint(keyword, xy))
             labels[keyword] = label
     plots: dict[str, str] = {}  # file name -> industry
     for industry in sorted(by_industry):
@@ -449,9 +465,7 @@ def analyze_extractions(
         if len(selected) >= 3:
             vectors = [model.vector(k) for k in selected]
             basis = fit_pca(vectors)
-            points = [
-                ProjectedPoint(k, vec, project(basis, vec)) for k, vec in zip(selected, vectors)
-            ]
+            points = [ProjectedPoint(k, project(basis, vec)) for k, vec in zip(selected, vectors)]
             clusters = cluster_points(points, cluster_threshold)
         else:
             log.warning(
@@ -508,8 +522,6 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
     def stage(name, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except CurationRequired:
-            raise
         except Exception as exc:
             raise PipelineStageError(name, exc) from exc
 
@@ -518,31 +530,18 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
     if config.query:
         corpus = stage("query", _query, corpus, config.query)
 
-    base, extras = stage(
-        "stopwords", _load_stopwords, config.base_stopwords, config.extra_stopwords
+    streams = stage(
+        "stopwords", _prep_streams, corpus, config.base_stopwords, config.extra_stopwords
     )
-    streams = _prep_streams(corpus, base, *extras)
-
-    def build_model() -> EmbeddingModel:
-        if config.model:
-            return load_model(config.model)
-        return train(streams, config.train)
-
-    if not extras:
-        interim = stage("candidates", build_model)
+    model = stage(
+        "train", lambda: load_model(config.model) if config.model else train(streams, config.train)
+    )
+    if not config.extra_stopwords:
         # with no curated lists, streams hold the base-filtered tokens
-        candidates = stage(
-            "candidates",
-            generate_stopword_candidates,
-            streams,
-            ReferenceEmbedder(interim),
-            top_n=config.top_n,
-        )
-        candidates_path = out_dir / CANDIDATES_FILENAME
-        save_candidates(candidates, candidates_path)
-        raise CurationRequired(candidates_path)
+        path = out_dir / "stopword_candidates.csv"
+        stage("candidates", _candidates, streams, model, path, DEFAULT_TOP_K, config.top_n)
+        raise CurationRequired(path)
 
-    model = stage("train", build_model)
     if config.model:
         log.info("model loaded: %d words, %d dimensions", len(model.vocab), model.dim)
     else:

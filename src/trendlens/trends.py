@@ -150,7 +150,6 @@ def project(basis: PcaBasis, vector: np.ndarray) -> tuple[float, float]:
 @dataclass(frozen=True)
 class ProjectedPoint:
     keyword: str
-    full_vector: np.ndarray | None
     xy: tuple[float, float]
 
 

@@ -274,7 +274,7 @@ def test_c07_clustering_matches_union_find_oracle():
         coords = rng.uniform(-1, 1, size=(n, 2))
         threshold = float(rng.uniform(0.02, 1.2))
         names = [f"kw{i:02d}" for i in range(n)]
-        points = [ProjectedPoint(names[i], None, (coords[i, 0], coords[i, 1])) for i in range(n)]
+        points = [ProjectedPoint(names[i], (coords[i, 0], coords[i, 1])) for i in range(n)]
 
         assignment = cluster_points(points, threshold)
         ours = {frozenset(members) for _, members in assignment.clusters}

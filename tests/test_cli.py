@@ -255,7 +255,7 @@ class TestTrainSubcommand:
         out = tmp_path / "k.csv"
         argv = ["extract", "--input", str(tokens), "--model", str(model), "--extra-stopwords", str(stop)]
         assert main([*argv, "--out", str(out)]) == EXIT_OK
-        keywords = {row["keyword"] for row in csv.DictReader(open(out))}
+        keywords = {row["keyword"] for row in csv.DictReader(out.read_text().splitlines())}
         assert keywords and "gamma" not in keywords
 
 
@@ -317,7 +317,7 @@ class TestExtractSubcommand:
             main(["extract", "--input", str(corpus), "--model", str(model), "--top-n", "2", "--out", str(out)])
             == EXIT_OK
         )
-        rows = list(csv.DictReader(open(out)))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         per_doc = {}
         for row in rows:
             per_doc[row["doc_id"]] = per_doc.get(row["doc_id"], 0) + 1
@@ -356,11 +356,11 @@ class TestAnalyzeSubcommand:
         )
         # distinct keyword counts per industry from the extraction file
         distinct = {}
-        for row in csv.DictReader(open(keywords)):
+        for row in csv.DictReader(keywords.read_text().splitlines()):
             industry = "medical" if int(row["doc_id"][1:]) % 2 == 0 else "security"
             distinct.setdefault(industry, set()).add(row["keyword"])
         selected = {}
-        for row in csv.DictReader(open(out_dir / "frequencies.csv")):
+        for row in csv.DictReader((out_dir / "frequencies.csv").read_text().splitlines()):
             selected.setdefault(row["industry"], set()).add(row["keyword"])
         for industry, kws in selected.items():
             assert len(kws) == max(1, math.ceil(50 * len(distinct[industry]) / 100.0))
@@ -568,6 +568,63 @@ class TestAnalysisFlagRanges:
         assert main([command, *inputs, *flags]) == EXIT_FAILURE
         assert f"flags: {error}" in caplog.text
         assert not out.exists()
+
+
+class TestPretrainedModelTakesNoTrainingFlags:
+    """A run with a pretrained model trains nothing, so a training flag next
+    to it fails before any input is opened; the config file may still hold
+    training keys, and TRENDLENS_SEED may be set."""
+
+    UNUSED = "flags: training key(s) unused with a pretrained model: "
+
+    def test_stopwords_model_flag(self, tmp_path, caplog):
+        out = tmp_path / "s.csv"
+        argv = ["stopwords", "--input", str(tmp_path / "missing.jsonl"), "--model", "m.w2v",
+                "--dim", "50", "--mode", "full_softmax", "--out", str(out)]
+        assert main(argv) == EXIT_FAILURE
+        assert self.UNUSED + "dim, mode" in caplog.text
+        assert not out.exists()
+
+    def test_pipeline_model_flag(self, tmp_path, caplog):
+        out_dir = tmp_path / "out"
+        argv = ["pipeline", "--corpus", str(tmp_path / "missing.jsonl"), "--model", "m.w2v",
+                "--dim", "50", "--out-dir", str(out_dir)]
+        assert main(argv) == EXIT_FAILURE
+        assert self.UNUSED + "dim" in caplog.text
+        assert not out_dir.exists()
+
+    def test_pipeline_config_model(self, tmp_path, caplog):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"corpus": "missing.jsonl", "model": "m.w2v", "epochs": 2}))
+        out_dir = tmp_path / "out"
+        argv = ["pipeline", "--config", str(config), "--seed", "3", "--window", "2",
+                "--out-dir", str(out_dir)]
+        assert main(argv) == EXIT_FAILURE
+        assert self.UNUSED + "seed, window" in caplog.text
+        assert not out_dir.exists()
+        with pytest.raises(ValueError, match=re.escape(self.UNUSED + "dim")):
+            resolve_config(None, {"corpus": "c.jsonl", "model": "m.w2v", "dim": 4})
+
+    def test_config_training_keys_and_seed_env_stay_allowed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TRENDLENS_SEED", "11")
+        corpus, model, stops = tmp_path / "c.jsonl", tmp_path / "m.w2v", tmp_path / "stops.txt"
+        write_corpus(corpus, n=8)
+        stops.write_text("method\nsystem\n")
+        train = ["train", "--input", str(corpus), "--dim", "4", "--epochs", "1", "--min-count", "1"]
+        assert main([*train, "--out", str(model)]) == EXIT_OK
+        argv = ["stopwords", "--input", str(corpus), "--model", str(model)]
+        assert main([*argv, "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "corpus": corpus.name, "model": model.name, "extra_stopwords": [stops.name],
+            "dim": 50, "epochs": 9, "top_percent": 100.0, "cluster_threshold": 0.5,
+        }))
+        out_dir = tmp_path / "out"
+        assert main(["pipeline", "--config", str(config), "--out-dir", str(out_dir)]) == EXIT_OK
+        resolved = json.loads((out_dir / "config.resolved").read_text())
+        assert resolved["model"] == str(model) and "train" not in resolved
+        assert not (out_dir / "model.w2v").exists()
+
 
 
 def test_flag_defaults_are_the_owning_defaults():

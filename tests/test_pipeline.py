@@ -12,7 +12,6 @@ from trendlens.pipeline import (
     CurationRequired,
     PipelineConfig,
     PipelineStageError,
-    _load_stopwords,
     _prep_streams,
     resolve_config,
     run_pipeline,
@@ -32,6 +31,10 @@ FINAL_OUTPUTS = [
 ]
 
 
+def read_rows(path) -> list[dict[str, str]]:
+    return list(csv.DictReader(path.read_text().splitlines()))
+
+
 def fixture_config(out_dir) -> PipelineConfig:
     return resolve_config(FIXTURE / "config.json", {"out_dir": str(out_dir)})
 
@@ -47,8 +50,8 @@ class TestFixtureRun:
     def test_epoch_log_lines_unchanged_and_loss_falls(self, caplog):
         # the fixture's per-epoch losses, pinned; no epoch warns of a rising loss
         config = fixture_config("unused")
-        base, extras = _load_stopwords(config.base_stopwords, config.extra_stopwords)
-        streams = _prep_streams(load_corpus(config.corpus), base, *extras)
+        corpus = load_corpus(config.corpus)
+        streams = _prep_streams(corpus, config.base_stopwords, config.extra_stopwords)
         with caplog.at_level("INFO", logger="trendlens.embedding"):
             train(streams, config.train)
         assert [r.getMessage().split(",")[0] for r in caplog.records] == [
@@ -82,12 +85,12 @@ class TestFixtureRun:
             for line in (FIXTURE / "curated_stopwords.txt").read_text().splitlines()
             if line.strip() and not line.startswith("#")
         }
-        keywords = {row["keyword"] for row in csv.DictReader(open(out_dir / "keywords.csv"))}
+        keywords = {row["keyword"] for row in read_rows(out_dir / "keywords.csv")}
         assert not keywords & curated
 
     def test_frequencies_have_ranked_rows(self, fixture_run):
         out_dir, _ = fixture_run
-        rows = list(csv.DictReader(open(out_dir / "frequencies.csv")))
+        rows = read_rows(out_dir / "frequencies.csv")
         by_industry = {}
         for row in rows:
             by_industry.setdefault(row["industry"], []).append(row)
@@ -99,8 +102,8 @@ class TestFixtureRun:
 
     def test_projection_rows_reference_frequency_keywords(self, fixture_run):
         out_dir, _ = fixture_run
-        freq = {(r["industry"], r["keyword"]) for r in csv.DictReader(open(out_dir / "frequencies.csv"))}
-        for row in csv.DictReader(open(out_dir / "projection.csv")):
+        freq = {(r["industry"], r["keyword"]) for r in read_rows(out_dir / "frequencies.csv")}
+        for row in read_rows(out_dir / "projection.csv"):
             assert (row["industry"], row["keyword"]) in freq
             float(row["x"]), float(row["y"])  # six-decimal floats parse
             int(row["cluster_id"])
@@ -192,11 +195,35 @@ class TestCurationGate:
         with pytest.raises(CurationRequired):
             run_pipeline(config)
         candidates = tmp_path / "out" / "stopword_candidates.csv"
-        rows = list(csv.DictReader(open(candidates)))
+        rows = read_rows(candidates)
         assert 0 < len(rows) <= 30
         frequencies = [int(r["doc_frequency"]) for r in rows]
         assert frequencies == sorted(frequencies, reverse=True)
         assert all(r["keyword"].isalnum() and r["keyword"].islower() for r in rows)
+        # the model is built before the halt but neither saved nor used to extract
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == ["config.resolved", "stopword_candidates.csv"]
+
+    def test_unwritable_candidates_file_fails_in_candidates_stage(self, tmp_path):
+        out_dir = tmp_path / "out"
+        (out_dir / "stopword_candidates.csv").mkdir(parents=True)
+        config = PipelineConfig(
+            corpus=str(FIXTURE / "corpus.jsonl"),
+            train=TrainConfig(dim=8, epochs=1, min_count=2, seed=7),
+            out_dir=str(out_dir),
+        )
+        with pytest.raises(PipelineStageError, match="stage 'candidates'") as err:
+            run_pipeline(config)
+        assert isinstance(err.value.__cause__, IsADirectoryError)
+
+    def test_halting_run_reports_a_bad_model_in_train_stage(self, tmp_path):
+        model = tmp_path / "bad.w2v"
+        model.write_text("not a model\n")
+        config = PipelineConfig(
+            corpus=str(FIXTURE / "corpus.jsonl"), model=str(model), out_dir=str(tmp_path / "o")
+        )
+        with pytest.raises(PipelineStageError, match="stage 'train'"):
+            run_pipeline(config)
 
     def test_curated_list_changes_downstream_keywords(self, fixture_run):
         # the fixture's curated file screens corpus-generic AI terms out of

@@ -5,7 +5,7 @@ from trendlens.trends import ProjectedPoint
 
 
 def point(name, x, y):
-    return ProjectedPoint(name, None, (x, y))
+    return ProjectedPoint(name, (x, y))
 
 
 class TestRender:

@@ -309,7 +309,7 @@ class TestProject:
 
 def points_from(coords, names=None):
     names = names or [f"kw{i:02d}" for i in range(len(coords))]
-    return [ProjectedPoint(n, None, (float(x), float(y))) for n, (x, y) in zip(names, coords)]
+    return [ProjectedPoint(n, (float(x), float(y))) for n, (x, y) in zip(names, coords)]
 
 
 class TestDistances:
