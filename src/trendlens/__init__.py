@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .corpus import Corpus, CorpusError, PatentDocument, filter_corpus, load_corpus, save_corpus
 from .embedding import (
-    ContextPair,
     EmbeddingModel,
     ModelFormatError,
     TrainConfig,
@@ -20,9 +19,7 @@ from .embedding import (
     cosine_similarity,
     generate_pairs,
     load_model,
-    pair_loss_and_gradients,
     save_model,
-    softmax_output,
     train,
 )
 from .keywords import (

@@ -12,11 +12,11 @@ negative log probability of the observed context word under either
 * ``negative_sampling``: the k-negative logistic surrogate, with negative
   words drawn from the unigram^0.75 distribution.
 
-Training is reproducible bit for bit from the seed.
-:func:`pair_loss_and_gradients` is the pure, finite-difference-checked
-statement of one SGD step; the training loop is a lean form of it that
-skips the per-pair objects and checks, and the oracle test in
-``tests/test_embedding.py`` holds the two equal bit for bit in both modes.
+Training is reproducible bit for bit from the seed.  ``tests/oracle.py``
+holds the pure, finite-difference-checked statement of one SGD step, per
+pair; the training loop is a lean form of it that skips the per-pair
+objects and checks, and the oracle tests in ``tests/test_embedding.py``
+hold the two equal bit for bit in both modes.
 The loop walks each epoch's shuffle in chunks of a fixed size, so its
 memory is the pair array and the shuffle plus one chunk's worth.  A
 chunk's negatives come from one sampler call, and in negative_sampling
@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,14 +48,10 @@ __all__ = [
     "TrainConfig",
     "TRAIN_RANGES",
     "EmbeddingModel",
-    "ContextPair",
-    "PairGradients",
     "TrainingDiverged",
     "ModelFormatError",
     "build_vocab",
     "generate_pairs",
-    "softmax_output",
-    "pair_loss_and_gradients",
     "train",
     "cosine_similarity",
     "save_model",
@@ -148,11 +144,6 @@ class TrainConfig:
                 raise ValueError(f"{key!r} must be {rule}, got {value!r}")
 
 
-class ContextPair(NamedTuple):
-    center: int
-    context: int
-
-
 @dataclass
 class EmbeddingModel:
     """Vocabulary plus the trained input/output weight matrices."""
@@ -213,47 +204,11 @@ def generate_pairs(stream: TokenStream, vocab: Vocabulary, window: int) -> np.nd
     return np.stack([centers, ids[positions[valid]]], axis=1)
 
 
-def softmax_output(scores: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over a score vector; sums to 1, all entries > 0."""
-    u = np.asarray(scores, dtype=np.float64)
-    if u.ndim != 1 or u.size == 0:
-        raise ValueError("scores must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("scores must be finite")
-    shifted = u - u.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-@dataclass(frozen=True)
-class PairGradients:
-    """Gradients for the rows touched by one pair.
-
-    ``output_rows`` are unique indices into the output matrix and
-    ``output_grads`` the matching gradient rows (duplicates from repeated
-    negatives are pre-accumulated).
-    """
-
-    center: int
-    center_grad: np.ndarray
-    output_rows: np.ndarray
-    output_grads: np.ndarray
-
-
 class UnigramSampler:
     """Draws negative words from the unigram^0.75 distribution."""
 
-    def __init__(self, counts: Sequence[int], power: float = _NEGATIVE_POWER):
-        weights = np.asarray(counts, dtype=np.float64) ** power
+    def __init__(self, counts: Sequence[int]):
+        weights = np.asarray(counts, dtype=np.float64) ** _NEGATIVE_POWER
         self._cum = np.cumsum(weights / weights.sum())
         self._size = len(self._cum)
 
@@ -283,70 +238,6 @@ class UnigramSampler:
                 row += taken if exclude not in taken else [v for v in taken if v != exclude]
             out += row
         return np.array(out, dtype=np.intp).reshape(m, k)
-
-
-def pair_loss_and_gradients(
-    model: EmbeddingModel,
-    pair: ContextPair,
-    negatives: Sequence[int] | None = None,
-) -> tuple[float, PairGradients]:
-    """Loss and parameter gradients for one training pair.
-
-    The mode comes from ``model.config``.  In negative_sampling mode the
-    caller supplies the drawn negative indices so the computation stays a
-    pure function of its arguments (which is what makes finite-difference
-    checking possible).
-    """
-    if model.config is None:
-        raise ValueError("model has no training configuration")
-    V = len(model.vocab)
-    if not (0 <= pair.center < V and 0 <= pair.context < V):
-        raise ValueError(f"pair {pair} out of vocabulary range [0, {V})")
-    h = model.input_vectors[pair.center]
-
-    if model.config.mode == "full_softmax":
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = model.output_vectors @ h
-        if not np.all(np.isfinite(u)):
-            # exploded parameters; report an infinite loss so training aborts
-            return float("inf"), PairGradients(
-                pair.center,
-                np.zeros(model.dim),
-                np.empty(0, dtype=np.intp),
-                np.empty((0, model.dim)),
-            )
-        m = u.max()
-        loss = m + math.log(np.exp(u - m).sum()) - u[pair.context]
-        e = softmax_output(u)
-        e[pair.context] -= 1.0
-        center_grad = model.output_vectors.T @ e
-        grads = PairGradients(
-            center=pair.center,
-            center_grad=center_grad,
-            output_rows=np.arange(V),
-            output_grads=np.outer(e, h),
-        )
-        return float(loss), grads
-
-    if negatives is None:
-        raise ValueError("negative_sampling mode requires drawn negatives")
-    rows = np.asarray([pair.context, *negatives], dtype=np.intp)
-    u = model.output_vectors[rows] @ h
-    # -log sigma(u_pos) - sum(-log sigma(-u_neg)), via the stable log1p(exp) form
-    loss = float(np.logaddexp(0.0, -u[0]) + np.logaddexp(0.0, u[1:]).sum())
-    g = _sigmoid(u)
-    g[0] -= 1.0
-    center_grad = g @ model.output_vectors[rows]
-    unique_rows, inverse = np.unique(rows, return_inverse=True)
-    acc = np.zeros((len(unique_rows), model.dim))
-    np.add.at(acc, inverse, np.outer(g, h))
-    grads = PairGradients(
-        center=pair.center,
-        center_grad=center_grad,
-        output_rows=unique_rows,
-        output_grads=acc,
-    )
-    return loss, grads
 
 
 def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel:
@@ -427,9 +318,10 @@ def _softmax_steps(model, centers, contexts, lrs) -> list[float]:
     """One chunk's full_softmax steps; returns their losses, ending with
     ``inf`` at the first step whose scores are not finite.
 
-    A lean form of :func:`pair_loss_and_gradients` and the SGD update: the
-    same numpy operations on the same operands.  ``h`` views the center's
-    input row, so every product reading it is taken before the row changes.
+    A lean form of the per-pair oracle in ``tests/oracle.py`` and the SGD
+    update: the same numpy operations on the same operands.  ``h`` views
+    the center's input row, so every product reading it is taken before the
+    row changes.
     """
     inp, out, losses = model.input_vectors, model.output_vectors, []
     for center, context, lr in zip(centers, contexts, lrs):
@@ -465,7 +357,7 @@ def _sampling_steps(model, centers, rows, lrs) -> list[float]:
         w = out.take(r, axis=0)
         u = w @ h
         scores[i] = u
-        # _sigmoid without the masks: 1/(1+e^-u) for u >= 0, e^u/(1+e^u) below
+        # the sigmoid of tests/oracle.py without the masks: 1/(1+e^-u) for u >= 0, e^u/(1+e^u) below
         e = np.exp(-np.abs(u))
         g = np.exp(np.minimum(u, 0.0)) / (1.0 + e)
         g[0] -= 1.0

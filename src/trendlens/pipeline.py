@@ -221,8 +221,8 @@ def resolve_config(
     """Merge defaults, a flat JSON config file, and CLI overrides.
 
     Precedence: overrides (flags) > config file > TRENDLENS_SEED (for the
-    seed only) > the defaults of PipelineConfig and TrainConfig.  An
-    override of None is unset.  Relative input paths in the config file
+    seed only, and unread when ``model`` is set) > the defaults of
+    PipelineConfig and TrainConfig.  An override of None is unset.  Relative input paths in the config file
     resolve against the config file's directory; the output directory and
     override paths resolve against the working directory.  An unknown key,
     a mistyped value, or a value out of range fails naming its key and
@@ -253,6 +253,7 @@ def resolve_config(
     values.update(flags)
     if values.get("model"):
         _unused_training(flags)
+        env_seed = None  # nothing trains, so a bad TRENDLENS_SEED cannot fail the run
     if "corpus" not in values:
         raise ValueError("config is missing the 'corpus' path")
     train_values = {key: values.pop(key) for key in _TRAIN_TYPES if key in values}

@@ -165,7 +165,6 @@ class ClusterAssignment:
     """Partition of a point set; ids 0..k-1 ordered by smallest member."""
 
     clusters: tuple[tuple[int, tuple[str, ...]], ...]
-    threshold: float
 
     def labels(self) -> dict[str, int]:
         return {kw: cid for cid, members in self.clusters for kw in members}
@@ -200,4 +199,4 @@ def cluster_points(points: Sequence[ProjectedPoint], threshold: float) -> Cluste
         groups.append(sorted(points[i].keyword for i in component))
     groups.sort(key=lambda members: members[0])
     clusters = tuple((cid, tuple(members)) for cid, members in enumerate(groups))
-    return ClusterAssignment(clusters, threshold)
+    return ClusterAssignment(clusters)

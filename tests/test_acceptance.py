@@ -14,14 +14,11 @@ import numpy as np
 from trendlens.cli import EXIT_OK, main
 from trendlens.corpus import Corpus, PatentDocument
 from trendlens.embedding import (
-    ContextPair,
     EmbeddingModel,
     TrainConfig,
     UnigramSampler,
     Vocabulary,
     cosine_similarity,
-    pair_loss_and_gradients,
-    softmax_output,
     train,
 )
 from trendlens.keywords import ReferenceEmbedder, extract_keywords
@@ -35,6 +32,8 @@ from trendlens.trends import (
     generate_stopword_candidates,
     project,
 )
+
+from oracle import ContextPair, pair_loss_and_gradients, softmax_output
 
 FIXTURE = Path("src/trendlens/data/fixture")
 

