@@ -17,8 +17,8 @@ holds the pure, finite-difference-checked statement of one SGD step, per
 pair; the training loop is a lean form of it that skips the per-pair
 objects and checks, and the oracle tests in ``tests/test_embedding.py``
 hold the two equal bit for bit in both modes.
-The loop walks each epoch's shuffle in chunks of a fixed size, so its
-memory is the pair array and the shuffle plus one chunk's worth.  A
+The pairs fill one int32 array and each epoch's int32 shuffle is walked in
+fixed-size chunks, so memory is 12 bytes per pair plus one chunk's worth.  A
 chunk's negatives come from one sampler call, and in negative_sampling
 mode its losses are taken together at the chunk's end.  Divergence is
 checked in one place, the epoch loop: it walks each chunk's losses in
@@ -185,8 +185,10 @@ def build_vocab(streams: Iterable[TokenStream], min_count: int) -> Vocabulary:
     return Vocabulary(tuple(words), tuple(kept_counts))
 
 
-def generate_pairs(stream: TokenStream, vocab: Vocabulary, window: int) -> np.ndarray:
-    """(center, context) index pairs within a fixed window, as an (n, 2) array.
+def generate_pairs(stream: TokenStream, vocab: Vocabulary, window: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """(center, context) index pairs within a fixed window, as an (n, 2)
+    int32 array, or written into ``out`` (an (n, 2) int32 slice) and returned.
 
     Out-of-vocabulary tokens are removed before windowing, so surviving
     neighbors see each other across the gap.  Rows are ordered by center
@@ -195,13 +197,13 @@ def generate_pairs(stream: TokenStream, vocab: Vocabulary, window: int) -> np.nd
     if window < 1:
         raise ValueError("window must be positive")
     index = vocab.index
-    ids = np.array([index[t] for t in stream.tokens if t in index], dtype=np.intp)
+    ids = np.array([index[t] for t in stream.tokens if t in index], dtype=np.int32)
     reach = min(window, len(ids) - 1)
     offsets = np.array([d for d in range(-reach, reach + 1) if d], dtype=np.intp)
     positions = np.arange(len(ids))[:, None] + offsets  # context position per (center, offset)
     valid = (positions >= 0) & (positions < len(ids))
     centers = np.broadcast_to(ids[:, None], positions.shape)[valid]
-    return np.stack([centers, ids[positions[valid]]], axis=1)
+    return np.stack([centers, ids[positions[valid]]], axis=1, out=out)
 
 
 class UnigramSampler:
@@ -244,9 +246,10 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
     """Train a skip-gram model over tokenized streams.
 
     Input vectors start uniform in [-0.5/D, +0.5/D] from the seed, output
-    vectors start at zero.  Each epoch shuffles all pairs (seeded) and the
-    learning rate decays linearly to 1e-4 of its initial value.  The run
-    is fully deterministic.  Each epoch's shuffle is walked in chunks of at
+    vectors start at zero.  The pairs fill one int32 array, each stream's
+    rows sized from its in-vocabulary token count.  Each epoch shuffles all
+    pairs (seeded) and the learning rate decays linearly to 1e-4 of its
+    initial value.  Each epoch's shuffle is walked in chunks of at
     most ``_CHUNK_PAIRS``; a chunk's learning rates and negatives are made
     before its steps run, drawing from the generator in the oracle's order.
     :class:`TrainingDiverged` reports the first non-finite loss.
@@ -257,10 +260,8 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
     vocab = build_vocab(streams, config.min_count)
     V, D = len(vocab), config.dim
     if config.mode == "full_softmax" and V > _FULL_SOFTMAX_CAP:
-        raise ValueError(
-            f"full_softmax is limited to {_FULL_SOFTMAX_CAP} words (vocabulary has {V}); "
-            "use negative_sampling"
-        )
+        raise ValueError(f"full_softmax is limited to {_FULL_SOFTMAX_CAP} words "
+                         f"(vocabulary has {V}); use negative_sampling")
 
     rng = np.random.default_rng(config.seed)
     model = EmbeddingModel(
@@ -272,7 +273,13 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
         train_streams=len(streams),
         train_tokens=sum(len(s.tokens) for s in streams),
     )
-    pairs = np.concatenate([generate_pairs(s, vocab, config.window) for s in streams])
+    # n in-vocabulary tokens with reach w = min(window, n - 1) make w * (2n - w - 1) pairs
+    kept = np.array([sum(map(vocab.index.__contains__, s.tokens)) for s in streams])
+    reach = np.minimum(config.window, kept - 1)
+    ends = np.cumsum(reach * (2 * kept - reach - 1)).tolist()
+    pairs = np.empty((ends[-1], 2), dtype=np.int32)
+    for s, a, b in zip(streams, [0] + ends, ends):
+        generate_pairs(s, vocab, config.window, out=pairs[a:b])
     total_steps = config.epochs * len(pairs)
     if total_steps == 0:
         return model
@@ -283,7 +290,8 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             started, loss_sum = time.perf_counter(), 0.0
-            perm = rng.permutation(n)
+            perm = np.arange(n, dtype=np.int32)
+            rng.shuffle(perm)  # rng.permutation(n)'s draws, in half its bytes
             for a in range(0, n, _CHUNK_PAIRS):
                 chunk = pairs[perm[a:a + _CHUNK_PAIRS]]
                 decay = 1.0 - np.arange(step, step + len(chunk)) / total_steps
@@ -301,10 +309,8 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
                     loss_sum += loss
                 step += len(chunk)
             mean, seconds = loss_sum / n, time.perf_counter() - started
-            log.info(
-                "epoch %d/%d: mean loss %.6f, %.0f pairs/s",
-                epoch + 1, config.epochs, mean, n / seconds if seconds > 0 else 0.0,
-            )
+            log.info("epoch %d/%d: mean loss %.6f, %.0f pairs/s", epoch + 1, config.epochs,
+                     mean, n / seconds if seconds > 0 else 0.0)
             if mean > previous:
                 log.warning("epoch %d/%d: mean loss rose from %.6f to %.6f",
                             epoch + 1, config.epochs, previous, mean)
@@ -483,13 +489,7 @@ def load_model(path: str | Path) -> EmbeddingModel:
             trailer = next(lines, None)
         if trailer is not None:
             raise ModelFormatError(f"{path}: unexpected extra line {trailer.strip()!r}")
-    return EmbeddingModel(
-        vocab=Vocabulary(tuple(words)),
-        input_vectors=input_vectors,
-        output_vectors=output_vectors,
-        config=None,
-        seed=seed,
-    )
+    return EmbeddingModel(Vocabulary(tuple(words)), input_vectors, output_vectors, None, seed)
 
 
 def save_document_vectors(vectors: Mapping[str, np.ndarray], path: str | Path) -> None:

@@ -165,10 +165,13 @@ def save_extractions(results: Sequence[ExtractionResult], path: str | Path) -> N
 def load_extractions(path: str | Path) -> list[ExtractionResult]:
     """Read an extraction CSV back; documents keep file order.
 
-    A bad header, a wrong field count, an empty doc id or keyword, or a
-    score that is not a finite number fails with ``path:line``.
+    A bad header, a wrong field count, an empty doc id or keyword, a score
+    that is not a finite number, a document's rows split by another's, or
+    ranks other than 1, 2, ... in each document's row order fail with
+    ``path:line``.
     """
     grouped: dict[str, list[KeywordScore]] = {}
+    previous = None
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -178,14 +181,20 @@ def load_extractions(path: str | Path) -> list[ExtractionResult]:
             where = f"{path}:{reader.line_num}"
             if len(row) != 4:
                 raise ValueError(f"{where}: expected 4 fields, got {len(row)}")
-            doc_id, _rank, keyword, score = row
+            doc_id, rank, keyword, score = row
             if not doc_id or not keyword:
                 raise ValueError(f"{where}: empty {'doc_id' if not doc_id else 'keyword'}")
+            kws = grouped.setdefault(doc_id, [])
+            if kws and doc_id != previous:
+                raise ValueError(f"{where}: rows of doc_id {doc_id!r} are not contiguous")
+            if rank != str(len(kws) + 1):
+                raise ValueError(f"{where}: rank {rank!r}, expected {len(kws) + 1}")
+            previous = doc_id
             try:
                 value = float(score)
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
                 raise ValueError(f"{where}: score {score!r} is not a finite number")
-            grouped.setdefault(doc_id, []).append(KeywordScore(keyword, value))
+            kws.append(KeywordScore(keyword, value))
     return [ExtractionResult(doc_id, tuple(kws)) for doc_id, kws in grouped.items()]

@@ -108,8 +108,14 @@ class TestGeneratePairsMatchesOracle:
                 pairs = generate_pairs(s, vocab, window)
                 expected = oracle_pairs(s, vocab, window)
                 assert pairs.shape == (len(expected), 2)
-                assert np.issubdtype(pairs.dtype, np.integer)
+                assert pairs.dtype == np.int32
                 assert pairs.tolist() == [list(p) for p in expected]
+                # into a slice of a larger array: the same rows, the slice returned
+                array = np.full((len(expected) + 3, 2), -1, dtype=np.int32)
+                rows = array[1:len(expected) + 1]
+                assert generate_pairs(s, vocab, window, out=rows) is rows
+                assert rows.tolist() == pairs.tolist()
+                assert (array[0] == -1).all() and (array[len(expected) + 1:] == -1).all()
 
     def test_all_out_of_vocabulary(self):
         vocab = Vocabulary(("a",), (1,))
@@ -460,6 +466,9 @@ def assert_diverges_as_oracle(streams, config):
 
 # three words and five negatives: every negative_sampling draw repeats a row
 REPEATING = [stream("a", "x y z x y z x x y"), stream("b", "z z y x y")]
+# with two streams between them that keep 0 and 1 tokens at min_count 2 (q and
+# r occur once), so their slices of the pair array are empty
+SHORT = [REPEATING[0], stream("c", "q"), stream("d", "x r"), REPEATING[1]]
 
 
 class TestLeanLoopMatchesOracle:
@@ -475,6 +484,8 @@ class TestLeanLoopMatchesOracle:
     def test_repeated_negatives_bit_identical(self, mode, caplog):
         config = TrainConfig(dim=5, window=2, epochs=3, min_count=1, mode=mode, negatives=5, seed=4)
         assert_matches_oracle(REPEATING, config, caplog)
+        config = TrainConfig(dim=5, window=2, epochs=3, min_count=2, mode=mode, negatives=5, seed=4)
+        assert_matches_oracle(SHORT, config, caplog)
 
     @pytest.mark.parametrize("mode", ["full_softmax", "negative_sampling"])
     def test_divergence_reported_at_same_step(self, mode):
@@ -502,12 +513,14 @@ class TestLeanLoopMatchesOracle:
 
 
 def test_training_memory_bounded_by_pair_array():
-    """Peak memory of train(), less the two weight matrices, is at most 40
-    bytes per pair (the pair array's 16 and the shuffle's 8, with room to
-    spare) plus a fixed allowance for what one chunk builds; Python lists of
-    all the pairs would take ~90 bytes per pair more.  numpy reports its
-    buffers to tracemalloc, so the count does not depend on the machine."""
-    bytes_per_pair, chunk_allowance = 40, 2 << 20
+    """Peak memory of train(), less the two weight matrices, is at most 12
+    bytes per pair (the int32 pair array's 8 and the int32 shuffle's 4) plus
+    a fixed allowance for what one chunk builds and one stream's pairs
+    while they are made; per-stream pair arrays joined by a concatenation
+    would take 32 bytes per pair, and Python lists of all the pairs ~90
+    more.  numpy reports its buffers to tracemalloc, so the count does not
+    depend on the machine."""
+    bytes_per_pair, chunk_allowance = 12, 1 << 20
     rng = np.random.default_rng(0)
     lexicon = [f"w{i:03d}" for i in range(500)]
     streams = [TokenStream(f"d{i}", tuple(rng.choice(lexicon, size=50).tolist())) for i in range(200)]

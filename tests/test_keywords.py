@@ -397,10 +397,20 @@ class TestExtractionCsv:
             ("D2,1,beta", "expected 4 fields, got 3"),
             ("D2,1,beta,nan", "score 'nan' is not a finite number"),
             ("D2,1,beta,-inf", "score '-inf' is not a finite number"),
+            ("D2,x,beta,0.4", "rank 'x', expected 1"),
+            ("D2,2,beta,0.4", "rank '2', expected 1"),
+            ("D1,1,beta,0.4", "rank '1', expected 2"),
+            ("D1,3,beta,0.4", "rank '3', expected 2"),
+            ("D1, 2,beta,0.4", "rank ' 2', expected 2"),
+            ("D2,1,beta,0.4\nD1,2,gamma,0.3", "rows of doc_id 'D1' are not contiguous"),
         ],
     )
     def test_malformed_row_names_path_and_line(self, tmp_path, row, error):
+        """Each row fails on the last line it adds after the header and D1's
+        first row; ranks run 1, 2, ... within a document whose rows are
+        contiguous."""
         path = tmp_path / "k.csv"
         path.write_text(f"doc_id,rank,keyword,score\nD1,1,alpha,0.5\n{row}\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}:3: {error}")):
+        line = 3 + row.count("\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {error}")):
             load_extractions(path)
