@@ -113,8 +113,8 @@ def _input_streams(args) -> list[TokenStream]:
     explicitly are applied again.  Anything else is read as a corpus, then
     tokenized and stopword-filtered.
     """
-    with open(args.input, encoding="utf-8") as fh:
-        first = next((line for line in fh if line.strip()), "")
+    with open(args.input, "rb") as fh:  # bytes, so that a bad one fails in the reader, naming its line
+        first = next((line for line in fh if line.strip()), b"")
     try:
         record = json.loads(first)
     except ValueError:

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .query import QueryExpr, eval_query
+from .textprep import _json_object
 
 __all__ = [
     "PatentDocument",
@@ -121,14 +122,14 @@ def load_corpus(path: str | Path, format: str | None = None) -> Corpus:
 
 def _load_jsonl(path: Path) -> list[tuple[PatentDocument, str]]:
     docs = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # decoded per line, so a bad byte fails naming its line
         for lineno, raw in enumerate(fh, 1):
             if not raw.strip():
                 continue
             where = f"{path}:{lineno}"
             try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
+                record = json.loads(raw.decode("utf-8"), object_pairs_hook=_json_object)
+            except ValueError as exc:
                 raise CorpusError(f"{where}: invalid JSON: {exc}") from None
             if not isinstance(record, dict):
                 raise CorpusError(f"{where}: expected a JSON object")

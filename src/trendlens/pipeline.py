@@ -15,6 +15,7 @@ import dataclasses
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -27,6 +28,7 @@ from .svgplot import emit_scatter_svg
 from .textprep import (
     StopwordList,
     TokenStream,
+    _json_object,
     filter_stopwords,
     load_base_stopwords,
     load_stopword_list,
@@ -188,7 +190,7 @@ def _prep_streams(corpus: Corpus, base: str | None, extras: Iterable[str]) -> li
     """
     base_list = load_stopword_list(base, "base") if base else load_base_stopwords()
     stop = StopwordList.union(base_list, *(load_stopword_list(p, "curated") for p in extras))
-    return [filter_stopwords(TokenStream(d.id, tuple(tokenize(d.abstract))), stop) for d in corpus]
+    return [filter_stopwords(TokenStream(d.id, tuple(map(sys.intern, tokenize(d.abstract)))), stop) for d in corpus]
 
 
 def _candidates(
@@ -234,9 +236,11 @@ def resolve_config(
     if config_path is not None:
         config_path = Path(config_path)
         try:
-            values = json.loads(config_path.read_text(encoding="utf-8"))
+            values = json.loads(config_path.read_text(encoding="utf-8"), object_pairs_hook=_json_object)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{config_path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+        except ValueError as exc:  # a repeated key, which the hook cannot place on a line
+            raise ValueError(f"{config_path}: invalid JSON: {exc}") from None
         if not isinstance(values, dict):
             raise ValueError(f"{config_path}: config must be a JSON object")
         _check(values, str(config_path))

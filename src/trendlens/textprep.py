@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from itertools import filterfalse
 from pathlib import Path
 from typing import Sequence
 
@@ -29,6 +31,14 @@ STOPWORD_TIERS = ("base", "generated", "curated")
 _WORD = re.compile(r"[^\W_]+")
 
 
+def _json_object(pairs: list) -> dict:
+    """The JSON readers' object_pairs_hook: a repeated key fails instead of keeping its last value."""
+    keys = [k for k, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return dict(pairs)
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase ``text`` and split it into alphanumeric tokens.
 
@@ -40,7 +50,7 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class TokenStream:
-    """Ordered lowercase tokens of one document's analysis text."""
+    """Ordered lowercase tokens of one document's analysis text; interned where this package makes them."""
 
     doc_id: str
     tokens: tuple[str, ...]
@@ -85,7 +95,7 @@ class StopwordList:
 def filter_stopwords(stream: TokenStream, *lists: StopwordList) -> TokenStream:
     """Drop every token that appears in any of the given lists."""
     stop = lists[0]._set if len(lists) == 1 else frozenset().union(*(sl._set for sl in lists))
-    return TokenStream(stream.doc_id, tuple(t for t in stream.tokens if t not in stop))
+    return TokenStream(stream.doc_id, tuple(filterfalse(stop.__contains__, stream.tokens)))
 
 
 def load_stopword_list(path: str | Path, tier: str) -> StopwordList:
@@ -132,13 +142,13 @@ def load_token_streams(path: str | Path) -> list[TokenStream]:
     alphanumeric, the rule of StopwordList entries), fails with ``path:line``."""
     streams: list[TokenStream] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # decoded per line, so a bad byte fails naming its line
         for lineno, raw in enumerate(fh, 1):
             if not raw.strip():
                 continue
             try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
+                record = json.loads(raw.decode("utf-8"), object_pairs_hook=_json_object)
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             if not isinstance(record, dict) or set(record) != {"id", "tokens"}:
                 raise ValueError(f"{path}:{lineno}: expected keys 'id' and 'tokens'")
@@ -153,5 +163,5 @@ def load_token_streams(path: str | Path) -> list[TokenStream]:
             bad = next((t for t in tokens if not (t.isalnum() and t == t.lower())), None)
             if bad is not None:
                 raise ValueError(f"{path}:{lineno}: token {bad!r} is not lowercase alphanumeric")
-            streams.append(TokenStream(doc_id, tuple(tokens)))
+            streams.append(TokenStream(doc_id, tuple(map(sys.intern, tokens))))
     return streams

@@ -469,11 +469,15 @@ class TestPipelineConfigPrecedence:
             assert main(["pipeline", "--config", str(config)]) == EXIT_FAILURE
             assert f"unknown config key(s): {next(iter(extra))}" in caplog.text
 
-    def test_invalid_json_config_is_failure_naming_line(self, tmp_path, caplog):
+    @pytest.mark.parametrize("text, error", [
+        ('{"corpus": "x.jsonl",\n  dim: 4}\n', ":2: invalid JSON: Expecting property name"),
+        ('{"corpus": "x.jsonl",\n "top_n": 3, "top_n": 4}\n', ": invalid JSON: repeated key 'top_n'"),
+    ])
+    def test_invalid_json_config_is_failure_naming_line(self, tmp_path, caplog, text, error):
         config = tmp_path / "config.json"
-        config.write_text('{"corpus": "x.jsonl",\n  dim: 4}\n')
+        config.write_text(text)
         assert main(["pipeline", "--config", str(config)]) == EXIT_FAILURE
-        assert f"{config}:2: invalid JSON: Expecting property name" in caplog.text
+        assert f"{config}{error}" in caplog.text
 
     def test_mistyped_config_value_is_failure(self, tmp_path, caplog):
         config = tmp_path / "config.json"

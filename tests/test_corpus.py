@@ -82,10 +82,14 @@ class TestLoadJsonl:
         with pytest.raises(CorpusError, match="year"):
             load_corpus(path)
 
-    def test_invalid_json_names_line(self, tmp_path):
+    @pytest.mark.parametrize("line, error", [
+        ("{oops", ""),
+        (json.dumps(record(2))[:-1] + ', "abstract": "again"}', ": repeated key 'abstract'"),
+    ])
+    def test_invalid_json_names_line(self, tmp_path, line, error):
         path = tmp_path / "c.jsonl"
-        path.write_text(json.dumps(record(1)) + "\n{oops\n")
-        with pytest.raises(CorpusError, match=":2: invalid JSON"):
+        path.write_text(json.dumps(record(1)) + "\n" + line + "\n")
+        with pytest.raises(CorpusError, match=":2: invalid JSON" + error):
             load_corpus(path)
 
     def test_blank_lines_skipped(self, tmp_path):

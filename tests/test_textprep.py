@@ -1,10 +1,18 @@
 import json
+import random
 import re
 import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from trendlens.cli import EXIT_FAILURE, main
+from trendlens.corpus import Corpus, PatentDocument
+from trendlens.pipeline import _prep_streams
 from trendlens.textprep import (
     StopwordList,
     TokenStream,
@@ -128,6 +136,12 @@ class TestFilterStopwords:
         assert filter_stopwords(once, lst) == once
         assert not set(once.tokens) & {"b"}
 
+    def test_str_subclass_tokens_pass_through(self):
+        # extraction hands filter_stopwords numpy.str_ tokens, which sys.intern rejects
+        out = filter_stopwords(stream(*map(np.str_, ("the", "neural", "the", "net"))), stoplist("the"))
+        assert out.tokens == ("neural", "net")
+        assert all(type(t) is np.str_ for t in out.tokens)
+
     @given(st.lists(st.sampled_from("abcdef"), max_size=20), st.sets(st.sampled_from("abcdef")))
     def test_subsequence_property(self, tokens, stop):
         s = TokenStream("D", tuple(tokens))
@@ -188,10 +202,14 @@ class TestTokenStreamFiles:
         save_token_streams(streams, path)
         assert load_token_streams(path) == streams
 
-    def test_bad_record_names_line(self, tmp_path):
+    @pytest.mark.parametrize("line, error", [
+        ('{"id": "b"}', "expected keys"),
+        ('{"id": "b", "tokens": ["x"], "id": "c"}', "invalid JSON: repeated key 'id'"),
+    ])
+    def test_bad_record_names_line(self, tmp_path, line, error):
         path = tmp_path / "t.jsonl"
-        path.write_text('{"id": "a", "tokens": ["x"]}\n{"id": "b"}\n')
-        with pytest.raises(ValueError, match=":2:"):
+        path.write_text('{"id": "a", "tokens": ["x"]}\n' + line + "\n")
+        with pytest.raises(ValueError, match=f":2: {error}"):
             load_token_streams(path)
 
     @pytest.mark.parametrize("token", ["solar cell", "", "Solar", "solar-cell", "x\ty"])
@@ -207,3 +225,112 @@ class TestTokenStreamFiles:
         path = tmp_path / "t.jsonl"
         save_token_streams(streams, path)
         assert load_token_streams(path) == streams
+
+
+def word_streams(n_streams=200, length=500, n_words=1000, seed=0):
+    """Streams of ``length`` tokens drawn from ``n_words`` distinct words."""
+    rng = random.Random(seed)
+    words = [f"w{i}x" for i in range(n_words)]
+    return [TokenStream(f"d{i}", tuple(rng.choices(words, k=length))) for i in range(n_streams)]
+
+
+class TestInternedStreams:
+    """Streams made by the package hold one object per distinct token."""
+
+    @staticmethod
+    def assert_shared(streams):
+        tokens = [t for s in streams for t in s.tokens]
+        assert len({id(t) for t in tokens}) == len(set(tokens))
+
+    def test_prep_streams_share_tokens(self):
+        docs = [PatentDocument(s.doc_id, "x", 2000, "", " ".join(s.tokens)) for s in word_streams(20, 100)]
+        streams = _prep_streams(Corpus(tuple(docs)), None, [])
+        assert sum(len(s.tokens) for s in streams) == 2000
+        self.assert_shared(streams)
+
+    def test_loaded_streams_share_tokens(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        save_token_streams(word_streams(20, 100), path)
+        self.assert_shared(load_token_streams(path))
+
+    def test_load_memory_bounded_by_token_slots(self, tmp_path):
+        """Peak at most 8 bytes per token (one tuple slot) plus 512 KiB for the
+        distinct words and one line's parse; a str object per token is ~55 bytes."""
+        streams = word_streams()
+        path = tmp_path / "t.jsonl"
+        save_token_streams(streams, path)
+        tracemalloc.start()
+        try:
+            loaded = load_token_streams(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == streams
+        assert peak <= 8 * 200 * 500 + 512 * 1024
+
+
+# lowercase alphanumeric tokens, some of them multibyte in UTF-8
+_TOKENS = st.lists(st.text("abzé日9", min_size=1, max_size=5), max_size=4)
+_BAD_VALUES = {
+    "id": [None, 5, 1.5, True, "", [], {"a": "b"}, float("nan")],
+    "tokens": [None, "ab", 5, {}, ["a", 5], [["a"]], [""], ["A"], ["a b"], [float("nan")], float("nan")],
+}
+_MUTATIONS = ["truncate", "drop_key", "repeat_key", "wrong_type", "nan", "repeat_id", "bom", "crlf"]
+
+
+def mutate(data: bytes, draw) -> tuple[bytes, int, int | None]:
+    """One mutation of the tokens file ``data``: the new bytes, how many of
+    its streams a load that succeeds must return, and the line an error must
+    name (None where the file must load)."""
+    lines = data.decode().splitlines()
+    kind = draw(st.sampled_from(_MUTATIONS))
+    i = draw(st.integers(0, len(lines) - 1))
+    record = json.loads(lines[i])
+    if kind == "truncate":  # at a byte, so possibly inside a character
+        cut = draw(st.integers(0, len(data) - 1))
+        whole = data[: cut + 1].count(b"\n")
+        return data[:cut], whole, whole + 1
+    if kind == "bom":
+        return "\ufeff".encode() + data, len(lines), 1
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n"), len(lines), None
+    if kind == "repeat_id":  # a copy of line i, after it
+        j = draw(st.integers(i + 1, len(lines)))
+        lines.insert(j, lines[i])
+        return ("\n".join(lines) + "\n").encode(), len(lines) - 1, j + 1
+    key = draw(st.sampled_from(["id", "tokens"]))
+    if kind == "drop_key":
+        del record[key]
+    elif kind == "wrong_type":
+        record[key] = draw(st.sampled_from(_BAD_VALUES[key]))
+    elif kind == "nan":
+        record["tokens"].insert(draw(st.integers(0, len(record["tokens"]))), float("nan"))
+    line = json.dumps(record, ensure_ascii=False)
+    if kind == "repeat_key":
+        value = draw(st.sampled_from([record[key], "other", ["other"]]))
+        line = line[:-1] + f", {json.dumps(key)}: {json.dumps(value)}}}"
+    lines[i] = line
+    return ("\n".join(lines) + "\n").encode(), len(lines), i + 1
+
+
+class TestTokenStreamFileFuzz:
+    """A mutated tokens file loads the same streams or fails naming
+    ``path:line``, and then ``train --input`` exits 1."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_TOKENS, min_size=1, max_size=4), st.data())
+    def test_mutated_file_loads_or_names_line(self, token_lists, data):
+        streams = [TokenStream(f"d{i}", tuple(t)) for i, t in enumerate(token_lists)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.jsonl"
+            save_token_streams(streams, path)
+            mutated, keep, line = mutate(path.read_bytes(), data.draw)
+            path.write_bytes(mutated)
+            try:
+                loaded = load_token_streams(path)
+            except ValueError as exc:
+                assert line is not None and str(exc).startswith(f"{path}:{line}: "), exc
+                argv = ["train", "--input", str(path), "--epochs", "0", "--out", str(Path(tmp) / "m.w2v")]
+                assert main(argv) == EXIT_FAILURE
+            else:
+                assert loaded == streams[:keep]
