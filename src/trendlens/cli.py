@@ -132,6 +132,8 @@ def _input_streams(args) -> list[TokenStream]:
 
 
 def cmd_ingest(args) -> int:
+    if not args.tokens_out and (args.base_stopwords or args.extra_stopwords):
+        raise ValueError("flags: stopword lists are unused without --tokens-out")
     corpus = load_corpus(args.input, args.format)
     log.info("loaded %d documents (%d industries)", len(corpus), len(corpus.industries))
     if args.out:

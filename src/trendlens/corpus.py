@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .query import QueryExpr, eval_query
-from .textprep import _json_object
+from .textprep import _json_object, _text_lines
 
 __all__ = [
     "PatentDocument",
@@ -139,8 +139,8 @@ def _load_jsonl(path: Path) -> list[tuple[PatentDocument, str]]:
 
 def _load_csv(path: Path) -> list[tuple[PatentDocument, str]]:
     docs = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open(path, "rb") as fh:
+        reader = csv.DictReader(_text_lines(fh, path, CorpusError))
         if reader.fieldnames is None:
             return []
         if set(reader.fieldnames) != set(_FIELDS) or len(reader.fieldnames) != len(_FIELDS):

@@ -18,14 +18,15 @@ pair; the training loop is a lean form of it that skips the per-pair
 objects and checks, and the oracle tests in ``tests/test_embedding.py``
 hold the two equal bit for bit in both modes.
 The pairs fill one int32 array and each epoch's int32 shuffle is walked in
-fixed-size chunks, so memory is 12 bytes per pair plus one chunk's worth.  A
-chunk's negatives come from one sampler call, and in negative_sampling
-mode its losses are taken together at the chunk's end.  Divergence is
-checked in one place, the epoch loop: it walks each chunk's losses in
-step order and stops at the first that is not finite, so the reported
-epoch and step are the oracle's (steps after it in its chunk change only
-weights that are thrown away).  Each epoch logs its mean loss and pairs/s
-at INFO, and a WARNING when the mean loss rose from the epoch before.
+fixed-size chunks, so memory is 12 bytes per pair plus one chunk's worth; a
+run of zero epochs makes no pairs.  A chunk's negatives come from one
+sampler call, and in negative_sampling mode its losses are taken together
+at the chunk's end.  Divergence is checked in one place, the epoch loop: it
+walks each chunk's losses in step order and stops at the first that is not
+finite, so the reported epoch and step are the oracle's (steps after it in
+its chunk change only weights that are thrown away).  Each epoch logs its
+mean loss and pairs/s at INFO, and a WARNING when the mean loss rose from
+the epoch before; a run with no step logs its pair count instead.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ _NEGATIVE_POWER = 0.75
 # pairs per chunk of an epoch's shuffle; at 2048 a fixture run's peak RSS rose by 0.35 MiB
 _CHUNK_PAIRS = 1024
 _FULL_SOFTMAX_CAP = 20_000
+_MAX_PAIRS = np.iinfo(np.int32).max  # each epoch's shuffle indexes the pairs as int32
 
 log = logging.getLogger(__name__)
 
@@ -151,7 +153,6 @@ class EmbeddingModel:
     vocab: Vocabulary
     input_vectors: np.ndarray
     output_vectors: np.ndarray
-    config: TrainConfig | None
     seed: int
     train_streams: int = 0
     train_tokens: int = 0
@@ -246,12 +247,13 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
     """Train a skip-gram model over tokenized streams.
 
     Input vectors start uniform in [-0.5/D, +0.5/D] from the seed, output
-    vectors start at zero.  The pairs fill one int32 array, each stream's
-    rows sized from its in-vocabulary token count.  Each epoch shuffles all
-    pairs (seeded) and the learning rate decays linearly to 1e-4 of its
-    initial value.  Each epoch's shuffle is walked in chunks of at
-    most ``_CHUNK_PAIRS``; a chunk's learning rates and negatives are made
-    before its steps run, drawing from the generator in the oracle's order.
+    vectors start at zero.  When there is a step to train, the pairs fill
+    one int32 array, each stream's rows sized from its in-vocabulary token
+    count.  Each epoch shuffles all pairs (seeded) and the learning rate
+    decays linearly to 1e-4 of its initial value.  Each epoch's shuffle is
+    walked in chunks of at most ``_CHUNK_PAIRS``; a chunk's learning rates
+    and negatives are made before its steps run, drawing from the generator
+    in the oracle's order.
     :class:`TrainingDiverged` reports the first non-finite loss.
     """
     streams = list(streams)
@@ -262,30 +264,36 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
     if config.mode == "full_softmax" and V > _FULL_SOFTMAX_CAP:
         raise ValueError(f"full_softmax is limited to {_FULL_SOFTMAX_CAP} words "
                          f"(vocabulary has {V}); use negative_sampling")
-
-    rng = np.random.default_rng(config.seed)
-    model = EmbeddingModel(
-        vocab=vocab,
-        input_vectors=(rng.random((V, D)) - 0.5) / D,
-        output_vectors=np.zeros((V, D)),
-        config=config,
-        seed=config.seed,
-        train_streams=len(streams),
-        train_tokens=sum(len(s.tokens) for s in streams),
-    )
     # n in-vocabulary tokens with reach w = min(window, n - 1) make w * (2n - w - 1) pairs
     kept = np.array([sum(map(vocab.index.__contains__, s.tokens)) for s in streams])
     reach = np.minimum(config.window, kept - 1)
     ends = np.cumsum(reach * (2 * kept - reach - 1)).tolist()
-    pairs = np.empty((ends[-1], 2), dtype=np.int32)
+    n = ends[-1]
+    if n > _MAX_PAIRS:
+        raise ValueError(f"{n} training pairs exceed the int32 pair index's bound of {_MAX_PAIRS}")
+
+    rng = np.random.default_rng(config.seed)
+    init = rng.random((V, D))
+    init -= 0.5  # in place, the same elementwise steps as (random - 0.5) / D
+    init /= D
+    model = EmbeddingModel(
+        vocab=vocab,
+        input_vectors=init,
+        output_vectors=np.zeros((V, D)),
+        seed=config.seed,
+        train_streams=len(streams),
+        train_tokens=sum(len(s.tokens) for s in streams),
+    )
+    total_steps = config.epochs * n
+    if total_steps == 0:  # nothing to train on, so no pair is made
+        log.info("%d training pairs, %d epochs: the model keeps its initialization", n, config.epochs)
+        return model
+    pairs = np.empty((n, 2), dtype=np.int32)
     for s, a, b in zip(streams, [0] + ends, ends):
         generate_pairs(s, vocab, config.window, out=pairs[a:b])
-    total_steps = config.epochs * len(pairs)
-    if total_steps == 0:
-        return model
 
     sampler = UnigramSampler(vocab.counts) if config.mode == "negative_sampling" else None
-    n, step, previous = len(pairs), 0, math.inf
+    step, previous = 0, math.inf
     # a diverging step overflows; its loss is checked below, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
@@ -315,7 +323,8 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
                 log.warning("epoch %d/%d: mean loss rose from %.6f to %.6f",
                             epoch + 1, config.epochs, previous, mean)
             previous = mean
-    if not (np.all(np.isfinite(model.input_vectors)) and np.all(np.isfinite(model.output_vectors))):
+    inp, out = model.input_vectors, model.output_vectors
+    if not np.isfinite([inp.min(), inp.max(), out.min(), out.max()]).all():  # as _reject_non_finite
         raise TrainingDiverged(config.epochs - 1, total_steps - 1)
     return model
 
@@ -480,7 +489,7 @@ def load_model(path: str | Path) -> EmbeddingModel:
             raise ModelFormatError(f"{path}: bad header (V={V}, D={D}, seed={seed})")
         lines = (line for line in fh if line.strip())
         words, input_vectors = _read_rows(lines, V, D, path, "input", "word")
-        output_vectors = np.zeros((V, D))
+        output_vectors = np.broadcast_to(np.float64(0.0), (V, D))  # read-only zeros, no V x D buffer
         trailer = next(lines, None)
         if trailer is not None and trailer.strip() == _OUTPUT_MARKER:
             out_words, output_vectors = _read_rows(lines, V, D, path, "output", "word")
@@ -489,7 +498,7 @@ def load_model(path: str | Path) -> EmbeddingModel:
             trailer = next(lines, None)
         if trailer is not None:
             raise ModelFormatError(f"{path}: unexpected extra line {trailer.strip()!r}")
-    return EmbeddingModel(Vocabulary(tuple(words)), input_vectors, output_vectors, None, seed)
+    return EmbeddingModel(Vocabulary(tuple(words)), input_vectors, output_vectors, seed)
 
 
 def save_document_vectors(vectors: Mapping[str, np.ndarray], path: str | Path) -> None:

@@ -39,6 +39,17 @@ def _json_object(pairs: list) -> dict:
     return dict(pairs)
 
 
+def _text_lines(fh, path, error=ValueError):
+    """Binary file ``fh``'s lines as a newline="" text file splits them, each
+    decoded alone, so that a bad byte fails as ``error`` at ``path``:line."""
+    lines = (line for raw in fh for line in raw.splitlines(keepends=True))  # at \n, \r\n or \r
+    for lineno, line in enumerate(lines, 1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}:{lineno}: {exc}") from None
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase ``text`` and split it into alphanumeric tokens.
 
@@ -102,8 +113,8 @@ def load_stopword_list(path: str | Path, tier: str) -> StopwordList:
     """Read one token per line; ``#`` lines are comments, duplicates collapse."""
     entries: list[str] = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(_text_lines(fh, path), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

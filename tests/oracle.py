@@ -61,24 +61,22 @@ class PairGradients:
 
 def pair_loss_and_gradients(
     model: EmbeddingModel,
+    mode: str,
     pair: ContextPair,
     negatives: Sequence[int] | None = None,
 ) -> tuple[float, PairGradients]:
-    """Loss and parameter gradients for one training pair.
+    """Loss and parameter gradients for one training pair in training ``mode``.
 
-    The mode comes from ``model.config``.  In negative_sampling mode the
-    caller supplies the drawn negative indices so the computation stays a
-    pure function of its arguments (which is what makes finite-difference
-    checking possible).
+    In negative_sampling mode the caller supplies the drawn negative indices
+    so the computation stays a pure function of its arguments (which is what
+    makes finite-difference checking possible).
     """
-    if model.config is None:
-        raise ValueError("model has no training configuration")
     V = len(model.vocab)
     if not (0 <= pair.center < V and 0 <= pair.context < V):
         raise ValueError(f"pair {pair} out of vocabulary range [0, {V})")
     h = model.input_vectors[pair.center]
 
-    if model.config.mode == "full_softmax":
+    if mode == "full_softmax":
         with np.errstate(over="ignore", invalid="ignore"):
             u = model.output_vectors @ h
         if not np.all(np.isfinite(u)):

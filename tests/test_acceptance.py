@@ -59,8 +59,8 @@ def test_c01_softmax_sums_to_one_and_shift_invariant():
 # --- criterion 2: analytic gradients vs central finite differences ----------
 
 
-def _gradient_error(model, pair, negatives):
-    _, grads = pair_loss_and_gradients(model, pair, negatives)
+def _gradient_error(model, mode, pair, negatives):
+    _, grads = pair_loss_and_gradients(model, mode, pair, negatives)
     V, D = model.input_vectors.shape
     analytic_in = np.zeros((V, D))
     analytic_in[grads.center] = grads.center_grad
@@ -74,9 +74,9 @@ def _gradient_error(model, pair, negatives):
             for j in range(D):
                 original = matrix[i, j]
                 matrix[i, j] = original + h
-                plus = pair_loss_and_gradients(model, pair, negatives)[0]
+                plus = pair_loss_and_gradients(model, mode, pair, negatives)[0]
                 matrix[i, j] = original - h
-                minus = pair_loss_and_gradients(model, pair, negatives)[0]
+                minus = pair_loss_and_gradients(model, mode, pair, negatives)[0]
                 matrix[i, j] = original
                 grad[i, j] = (plus - minus) / (2 * h)
         numeric.append(grad)
@@ -98,14 +98,11 @@ def test_c02_gradients_match_finite_differences_both_modes():
         )
         pair = ContextPair(int(rng.integers(0, V)), int(rng.integers(0, V)))
         for mode in ("full_softmax", "negative_sampling"):
-            config = TrainConfig(dim=D, mode=mode, negatives=3, min_count=1)
-            model = EmbeddingModel(
-                vocab, rng.normal(0, 0.6, (V, D)), rng.normal(0, 0.6, (V, D)), config, 0
-            )
+            model = EmbeddingModel(vocab, rng.normal(0, 0.6, (V, D)), rng.normal(0, 0.6, (V, D)), 0)
             negatives = None
             if mode == "negative_sampling":
                 negatives = UnigramSampler(vocab.counts).draw(rng, 3, [pair.context])[0]
-            assert _gradient_error(model, pair, negatives) < 1e-5
+            assert _gradient_error(model, mode, pair, negatives) < 1e-5
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"gradient sweep took {elapsed:.2f}s"
 
@@ -192,9 +189,7 @@ def test_c05_extraction_matches_brute_force_oracle():
         for w in group:
             matrix[words.index(w)] = shared
     vocab = Vocabulary(words, tuple([1] * 500))
-    model = EmbeddingModel(
-        vocab, matrix, np.zeros_like(matrix), TrainConfig(dim=12, min_count=1), 0
-    )
+    model = EmbeddingModel(vocab, matrix, np.zeros_like(matrix), 0)
     embedder = ReferenceEmbedder(model)
 
     start = time.perf_counter()

@@ -115,6 +115,26 @@ class TestIngest:
         for line in tokens.read_text().splitlines():
             assert "method" not in json.loads(line)["tokens"]
 
+    @pytest.mark.parametrize("flag", ["--extra-stopwords", "--base-stopwords"])
+    def test_stopword_flag_without_tokens_out_fails(self, tmp_path, caplog, flag):
+        # only --tokens-out reads the lists, so a list given without it would go unread
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "norm.jsonl"
+        write_corpus(corpus)
+        argv = ["ingest", "--input", str(corpus), "--out", str(out), flag, "/nonexistent.txt"]
+        assert main(argv) == EXIT_FAILURE
+        assert "flags: stopword lists are unused without --tokens-out" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, flag", [("c.csv", "--input"), ("s.txt", "--extra-stopwords")])
+    def test_invalid_utf8_names_path_and_line(self, tmp_path, caplog, name, flag):
+        corpus, bad = tmp_path / "c.jsonl", tmp_path / name
+        write_corpus(corpus)
+        bad.write_bytes(b"id,industry,year,title,abstract\nP1,m,2018,t,caf\xc3(\n" if name == "c.csv"
+                        else b"method\ncaf\xc3(\n")
+        argv = ["ingest", "--input", str(corpus), "--tokens-out", str(tmp_path / "t.jsonl"), flag, str(bad)]
+        assert main(argv) == EXIT_FAILURE
+        assert f"{bad}:2: 'utf-8' codec can't decode byte 0xc3" in caplog.text
+
 
 class TestQuerySubcommand:
     def test_filters_corpus(self, tmp_path):

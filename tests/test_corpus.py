@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -138,6 +139,26 @@ class TestLoadCsv:
         path.write_text("id,industry,year,title,abstract\nP1,m,2018,t\n")
         with pytest.raises(CorpusError, match="fields"):
             load_corpus(path, "csv")
+
+    @pytest.mark.parametrize("data, line", [
+        (b"id,industry,year,title,abstract\nP1,m,2018,t,caf\xc3(\n", 2),
+        (b"id,industry,year,title,abstract\nP1,m,2018,\"t\ntwo\",a\nP2,m,2018,t,caf\xc3", 4),
+        (b"id,industry,year,title,abstract\xff\n", 1),
+    ])
+    def test_invalid_utf8_names_line(self, tmp_path, data, line):
+        # one bad byte, a quoted field over two lines before it, a file cut inside a character
+        path = tmp_path / "c.csv"
+        path.write_bytes(data)
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:{line}: 'utf-8' codec"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_line_endings(self, tmp_path, newline):
+        path = tmp_path / "c.csv"
+        rows = ["id,industry,year,title,abstract", 'P1,m,2018,"t1', 'line two",a', "P2,m,2019,t2,b"]
+        path.write_bytes(newline.join(rows).encode() + b"\n")
+        docs = load_corpus(path).documents
+        assert [(d.id, d.title) for d in docs] == [("P1", f"t1{newline}line two"), ("P2", "t2")]
 
 
 class TestSaveRoundTrip:

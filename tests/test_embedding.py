@@ -30,13 +30,10 @@ def stream(doc_id, text):
     return TokenStream(doc_id, tuple(text.split()))
 
 
-def tiny_model(V, D, seed=0, mode="full_softmax", negatives=3):
+def tiny_model(V, D, seed=0):
     rng = np.random.default_rng(seed)
     vocab = Vocabulary(tuple(f"w{i}" for i in range(V)), tuple(int(c) for c in rng.integers(1, 9, V)))
-    config = TrainConfig(dim=D, mode=mode, negatives=negatives, min_count=1)
-    return EmbeddingModel(
-        vocab, rng.normal(0, 0.5, (V, D)), rng.normal(0, 0.5, (V, D)), config, seed
-    )
+    return EmbeddingModel(vocab, rng.normal(0, 0.5, (V, D)), rng.normal(0, 0.5, (V, D)), seed)
 
 
 class TestBuildVocab:
@@ -144,8 +141,8 @@ class TestSoftmax:
             softmax_output(np.array([1.0, np.inf]))
 
 
-def dense_gradients(model, pair, negatives):
-    loss, grads = pair_loss_and_gradients(model, pair, negatives)
+def dense_gradients(model, mode, pair, negatives):
+    loss, grads = pair_loss_and_gradients(model, mode, pair, negatives)
     V, D = model.input_vectors.shape
     g_in = np.zeros((V, D))
     g_in[grads.center] = grads.center_grad
@@ -154,7 +151,7 @@ def dense_gradients(model, pair, negatives):
     return loss, g_in, g_out
 
 
-def finite_difference(model, pair, negatives, h=1e-5):
+def finite_difference(model, mode, pair, negatives, h=1e-5):
     V, D = model.input_vectors.shape
     out = []
     for matrix in (model.input_vectors, model.output_vectors):
@@ -163,18 +160,18 @@ def finite_difference(model, pair, negatives, h=1e-5):
             for j in range(D):
                 original = matrix[i, j]
                 matrix[i, j] = original + h
-                plus = pair_loss_and_gradients(model, pair, negatives)[0]
+                plus = pair_loss_and_gradients(model, mode, pair, negatives)[0]
                 matrix[i, j] = original - h
-                minus = pair_loss_and_gradients(model, pair, negatives)[0]
+                minus = pair_loss_and_gradients(model, mode, pair, negatives)[0]
                 matrix[i, j] = original
                 grad[i, j] = (plus - minus) / (2 * h)
         out.append(grad)
     return out
 
 
-def gradient_relative_error(model, pair, negatives):
-    _, a_in, a_out = dense_gradients(model, pair, negatives)
-    n_in, n_out = finite_difference(model, pair, negatives)
+def gradient_relative_error(model, mode, pair, negatives):
+    _, a_in, a_out = dense_gradients(model, mode, pair, negatives)
+    n_in, n_out = finite_difference(model, mode, pair, negatives)
     analytic = np.concatenate([a_in.ravel(), a_out.ravel()])
     numeric = np.concatenate([n_in.ravel(), n_out.ravel()])
     denom = max(np.linalg.norm(analytic) + np.linalg.norm(numeric), 1e-12)
@@ -185,7 +182,7 @@ class TestPairLoss:
     def test_zero_output_gives_uniform_loss(self):
         model = tiny_model(V=6, D=3)
         model.output_vectors[:] = 0.0
-        loss, _ = pair_loss_and_gradients(model, ContextPair(1, 4))
+        loss, _ = pair_loss_and_gradients(model, "full_softmax", ContextPair(1, 4))
         assert loss == pytest.approx(math.log(6), abs=1e-12)
 
     @pytest.mark.parametrize("mode", ["full_softmax", "negative_sampling"])
@@ -193,43 +190,43 @@ class TestPairLoss:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             V, D = int(rng.integers(2, 11)), int(rng.integers(1, 6))
-            model = tiny_model(V, D, seed=seed, mode=mode)
+            model = tiny_model(V, D, seed=seed)
             pair = ContextPair(int(rng.integers(0, V)), int(rng.integers(0, V)))
             negatives = None
             if mode == "negative_sampling":
                 negatives = UnigramSampler(model.vocab.counts).draw(rng, 3, [pair.context])[0]
-            assert gradient_relative_error(model, pair, negatives) < 1e-5
+            assert gradient_relative_error(model, mode, pair, negatives) < 1e-5
 
     @pytest.mark.parametrize("mode", ["full_softmax", "negative_sampling"])
     def test_sgd_step_decreases_loss(self, mode):
-        model = tiny_model(V=5, D=3, seed=2, mode=mode)
+        model = tiny_model(V=5, D=3, seed=2)
         pair = ContextPair(0, 3)
         negatives = [1, 2, 4] if mode == "negative_sampling" else None
-        before, grads = pair_loss_and_gradients(model, pair, negatives)
+        before, grads = pair_loss_and_gradients(model, mode, pair, negatives)
         model.input_vectors[grads.center] -= 0.1 * grads.center_grad
         model.output_vectors[grads.output_rows] -= 0.1 * grads.output_grads
-        after, _ = pair_loss_and_gradients(model, pair, negatives)
+        after, _ = pair_loss_and_gradients(model, mode, pair, negatives)
         assert after < before
 
     def test_negative_sampling_requires_negatives(self):
-        model = tiny_model(V=4, D=2, mode="negative_sampling")
+        model = tiny_model(V=4, D=2)
         with pytest.raises(ValueError, match="negatives"):
-            pair_loss_and_gradients(model, ContextPair(0, 1))
+            pair_loss_and_gradients(model, "negative_sampling", ContextPair(0, 1))
 
     def test_loss_non_negative(self):
         for seed in range(10):
             model = tiny_model(V=5, D=3, seed=seed)
-            loss, _ = pair_loss_and_gradients(model, ContextPair(seed % 5, (seed + 2) % 5))
+            loss, _ = pair_loss_and_gradients(model, "full_softmax", ContextPair(seed % 5, (seed + 2) % 5))
             assert loss >= 0
 
     def test_duplicate_negatives_accumulate(self):
-        model = tiny_model(V=5, D=3, seed=4, mode="negative_sampling")
+        model = tiny_model(V=5, D=3, seed=4)
         pair = ContextPair(0, 1)
-        _, grads = pair_loss_and_gradients(model, pair, [2, 2, 3])
+        _, grads = pair_loss_and_gradients(model, "negative_sampling", pair, [2, 2, 3])
         assert sorted(grads.output_rows.tolist()) == grads.output_rows.tolist()
         assert len(grads.output_rows) == len(set(grads.output_rows.tolist()))
         # the doubled negative's gradient equals twice the single draw's
-        _, single = pair_loss_and_gradients(model, pair, [2, 3])
+        _, single = pair_loss_and_gradients(model, "negative_sampling", pair, [2, 3])
         row2 = list(grads.output_rows).index(2)
         row2_single = list(single.output_rows).index(2)
         np.testing.assert_allclose(grads.output_grads[row2], 2 * single.output_grads[row2_single])
@@ -410,7 +407,7 @@ def oracle_train(streams, config, means=None):
     vocab = build_vocab(streams, config.min_count)
     V, D = len(vocab), config.dim
     rng = np.random.default_rng(config.seed)
-    model = EmbeddingModel(vocab, (rng.random((V, D)) - 0.5) / D, np.zeros((V, D)), config, config.seed)
+    model = EmbeddingModel(vocab, (rng.random((V, D)) - 0.5) / D, np.zeros((V, D)), config.seed)
     pairs = [p for s in streams for p in oracle_pairs(s, vocab, config.window)]
     total_steps = config.epochs * len(pairs)
     weights = np.asarray(vocab.counts, dtype=np.float64) ** 0.75
@@ -423,7 +420,7 @@ def oracle_train(streams, config, means=None):
             negatives = None
             if config.mode == "negative_sampling":
                 negatives = scalar_draw(cum, rng, config.negatives, pair.context)
-            loss, grads = pair_loss_and_gradients(model, pair, negatives)
+            loss, grads = pair_loss_and_gradients(model, config.mode, pair, negatives)
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch, step)
             lr = config.learning_rate * max(_LR_FLOOR_FRACTION, 1.0 - step / total_steps)
@@ -521,21 +518,83 @@ def test_training_memory_bounded_by_pair_array():
     more.  numpy reports its buffers to tracemalloc, so the count does not
     depend on the machine."""
     bytes_per_pair, chunk_allowance = 12, 1 << 20
-    rng = np.random.default_rng(0)
-    lexicon = [f"w{i:03d}" for i in range(500)]
-    streams = [TokenStream(f"d{i}", tuple(rng.choice(lexicon, size=50).tolist())) for i in range(200)]
+    streams = memory_streams()
     config = TrainConfig(dim=8, window=5, epochs=1, min_count=1, seed=1)
     vocab = build_vocab(streams, 1)
     n_pairs = sum(len(generate_pairs(s, vocab, config.window)) for s in streams)
     assert n_pairs == 94_000
-    tracemalloc.start()
-    try:
-        model = train(streams, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    model, peak = traced_peak(train, streams, config)
     weights = model.input_vectors.nbytes + model.output_vectors.nbytes
     assert peak - weights <= bytes_per_pair * n_pairs + chunk_allowance
+
+
+def memory_streams():
+    """200 streams of 50 tokens over 500 words: 94,000 pairs at window 5."""
+    rng = np.random.default_rng(0)
+    lexicon = [f"w{i:03d}" for i in range(500)]
+    return [TokenStream(f"d{i}", tuple(rng.choice(lexicon, size=50).tolist())) for i in range(200)]
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocatesOnlyWhatItTouches:
+    def test_zero_epochs_build_no_pairs(self):
+        # the 94,000 pairs would take 734 KiB as int32; the weights are 2 x 250 KiB
+        config = TrainConfig(dim=64, window=5, epochs=0, min_count=1, seed=1)
+        model, peak = traced_peak(train, memory_streams(), config)
+        assert peak - model.input_vectors.nbytes - model.output_vectors.nbytes <= 128 << 10
+
+    def test_zero_epochs_log_the_pair_count(self, caplog):
+        with caplog.at_level("INFO", logger="trendlens.embedding"):
+            train(memory_streams(), TrainConfig(dim=4, epochs=0, min_count=1))
+        assert caplog.messages == ["94000 training pairs, 0 epochs: the model keeps its initialization"]
+
+    def test_pair_count_above_the_int32_index_fails_before_allocating(self, monkeypatch):
+        # np.arange(n, dtype=np.int32) wraps past 2**31 - 1, so more pairs than
+        # that fail before any weight is made; the bound is patched down here
+        streams, config = memory_streams(), TrainConfig(dim=64, epochs=1, min_count=1)
+        monkeypatch.setattr(embedding, "_MAX_PAIRS", 93_999)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="94000 training pairs exceed .* bound of 93999"):
+                train(streams, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500 * 64 * 8  # less than one weight matrix
+        monkeypatch.setattr(embedding, "_MAX_PAIRS", 94_000)
+        assert train(streams, TrainConfig(dim=4, epochs=0, min_count=1)).dim == 4
+
+    def test_loaded_model_holds_no_output_matrix(self, tmp_path):
+        rng = np.random.default_rng(3)
+        words = tuple(f"w{i:04d}" for i in range(2000))
+        rows = rng.normal(size=(2000, 100))
+        path = tmp_path / "m.w2v"
+        save_model(EmbeddingModel(Vocabulary(words), rows, np.zeros_like(rows), seed=1), path)
+        model, peak = traced_peak(load_model, path)
+        assert peak <= model.input_vectors.nbytes + (512 << 10)
+
+    def test_loaded_output_matrix_is_read_only_zeros(self, tmp_path):
+        rows = np.array([[0.1, 1e-300], [-7.5, 2.0]])
+        path, full = tmp_path / "m.w2v", tmp_path / "full.w2v"
+        save_model(EmbeddingModel(Vocabulary(("a", "b")), rows, -rows, seed=3), path)
+        loaded = load_model(path)
+        assert loaded.output_vectors.shape == (2, 2) and not loaded.output_vectors.any()
+        assert not loaded.output_vectors.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.output_vectors[0, 0] = 1.0
+        save_model(loaded, full, full=True)
+        assert full.read_bytes() == (
+            b"trendlens-w2v 1 2 2 3\na 0.1 1e-300\nb -7.5 2.0\n#output\na 0.0 0.0\nb 0.0 0.0\n"
+        )
 
 
 class TestTrainConfigValidation:
@@ -615,7 +674,7 @@ class TestModelFiles:
 
     def test_exact_bytes(self, tmp_path):
         rows = np.array([[0.1, 1e-300], [-7.5, np.float32(0.1)]])
-        model = EmbeddingModel(Vocabulary(("a", "b")), rows, -rows, None, seed=3)
+        model = EmbeddingModel(Vocabulary(("a", "b")), rows, -rows, seed=3)
         path = tmp_path / "m.w2v"
         save_model(model, path, full=True)
         assert path.read_bytes() == (

@@ -6,7 +6,6 @@ import pytest
 from trendlens.embedding import (
     EmbeddingModel,
     ModelFormatError,
-    TrainConfig,
     Vocabulary,
     cosine_similarity,
     save_model,
@@ -25,17 +24,16 @@ from trendlens.keywords import (
 from trendlens.textprep import StopwordList, TokenStream, filter_stopwords
 
 
-def model_from(vectors: dict, dim=None, seed=0):
+def model_from(vectors: dict, seed=0):
     words = tuple(sorted(vectors))
-    dim = dim or len(next(iter(vectors.values())))
     matrix = np.array([vectors[w] for w in words], dtype=np.float64)
     vocab = Vocabulary(words, tuple([1] * len(words)))
-    return EmbeddingModel(vocab, matrix, np.zeros_like(matrix), TrainConfig(dim=dim, min_count=1), seed)
+    return EmbeddingModel(vocab, matrix, np.zeros_like(matrix), seed)
 
 
 def random_model(V, D, seed):
     rng = np.random.default_rng(seed)
-    return model_from({f"w{i:03d}": rng.normal(size=D) for i in range(V)}, dim=D)
+    return model_from({f"w{i:03d}": rng.normal(size=D) for i in range(V)})
 
 
 def stream(*tokens, doc_id="D"):
@@ -270,9 +268,7 @@ class TestExtract:
 
     def test_ranking_invariant_under_uniform_scaling(self):
         base = random_model(30, 6, seed=10)
-        scaled = model_from(
-            {w: 3.5 * base.vector(w) for w in base.vocab.words}, dim=6
-        )
+        scaled = model_from({w: 3.5 * base.vector(w) for w in base.vocab.words})
         rng = np.random.default_rng(11)
         tokens = tuple(rng.choice(base.vocab.words, size=12))
         doc = TokenStream("D", tokens)

@@ -167,10 +167,15 @@ class TestStopwordFiles:
         save_stopword_list(lst, path)
         assert load_stopword_list(path, "curated") == lst
 
-    def test_bad_entry_names_line(self, tmp_path):
+    @pytest.mark.parametrize("data, error", [
+        (b"fine\ntwo words\n", ""),
+        (b"fine\ncaf\xc3(\n", " 'utf-8' codec can't decode byte 0xc3"),
+        (b"# note\rcaf\xc3", " 'utf-8' codec can't decode byte 0xc3"),
+    ])
+    def test_bad_entry_names_line(self, tmp_path, data, error):
         path = tmp_path / "s.txt"
-        path.write_text("fine\ntwo words\n")
-        with pytest.raises(ValueError, match=":2:"):
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2:{error}")):
             load_stopword_list(path, "base")
 
     def test_punctuation_entry_rejected(self, tmp_path):
