@@ -46,7 +46,6 @@ from .textprep import (
     filter_stopwords,
     load_base_stopwords,
     load_stopword_list,
-    save_stopword_list,
     tokenize,
 )
 from .trends import (

@@ -29,6 +29,7 @@ from .pipeline import (
     _candidates,
     _check,
     _extract,
+    _lookups,
     _prep_streams,
     _query,
     _train_config,
@@ -121,8 +122,8 @@ def _input_streams(args) -> list[TokenStream]:
         record = None
     if isinstance(record, dict) and set(record) == {"id", "tokens"}:
         streams = load_token_streams(args.input)
-        lists = [load_stopword_list(args.base_stopwords, "base")] if args.base_stopwords else []
-        lists += [load_stopword_list(path, "curated") for path in args.extra_stopwords]
+        lists = [load_stopword_list(args.base_stopwords)] if args.base_stopwords else []
+        lists += [load_stopword_list(path) for path in args.extra_stopwords]
         if lists:
             stop = StopwordList.union(*lists)
             streams = [filter_stopwords(s, stop) for s in streams]
@@ -153,7 +154,8 @@ def cmd_stopwords(args) -> int:
     if args.model:
         _unused_training(k for k, v in vars(args).items() if v is not None)
     streams = _prep_streams(load_corpus(args.input, args.format), args.base_stopwords, ())
-    model = load_model(args.model) if args.model else train(streams, _flag_train_config(args))
+    model = (load_model(args.model, {t for s in streams for t in s.tokens}) if args.model
+             else train(streams, _flag_train_config(args)))
     _candidates(streams, model, args.out, args.top_k, args.top_n)
     return EXIT_OK
 
@@ -169,13 +171,14 @@ def cmd_train(args) -> int:
 def cmd_extract(args) -> int:
     if args.model and (args.doc_vectors or args.word_vectors):
         raise ValueError("use either --model or --doc-vectors/--word-vectors, not both")
-    if args.model:
-        embedder = ReferenceEmbedder(load_model(args.model))
-    elif args.doc_vectors and args.word_vectors:
-        embedder = FileEmbedder.from_files(args.doc_vectors, args.word_vectors)
-    else:
+    if not (args.model or (args.doc_vectors and args.word_vectors)):
         raise ValueError("--model or both --doc-vectors and --word-vectors are required")
-    _extract(_input_streams(args), embedder, args.top_n, args.out)
+    streams = _input_streams(args)
+    if args.model:
+        embedder = ReferenceEmbedder(load_model(args.model, {t for s in streams for t in s.tokens}))
+    else:
+        embedder = FileEmbedder.from_files(args.doc_vectors, args.word_vectors)
+    _extract(streams, embedder, args.top_n, args.out)
     return EXIT_OK
 
 
@@ -190,16 +193,18 @@ def _parse_anchor_flags(pairs):
 
 
 def cmd_analyze(args) -> int:
+    anchors = _parse_anchor_flags(args.anchor)
     corpus = load_corpus(args.corpus, args.format)
-    model = load_model(args.model)
     results = load_extractions(args.keywords)
+    keywords = (ks.keyword for r in results for ks in r.keywords)
+    model = load_model(args.model, _lookups(keywords, corpus, anchors))
     report = analyze_extractions(
         results,
         corpus,
         model,
         args.top_percent,
         args.cluster_threshold,
-        _parse_anchor_flags(args.anchor),
+        anchors,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -38,11 +38,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .textprep import TokenStream
+from .textprep import TokenStream, _text_lines
 
 __all__ = [
     "Vocabulary",
@@ -156,6 +156,7 @@ class EmbeddingModel:
     seed: int
     train_streams: int = 0
     train_tokens: int = 0
+    file_words: int = 0  # the word count of the file load_model read, its rows kept or not
 
     @property
     def dim(self) -> int:
@@ -324,7 +325,7 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
                             epoch + 1, config.epochs, previous, mean)
             previous = mean
     inp, out = model.input_vectors, model.output_vectors
-    if not np.isfinite([inp.min(), inp.max(), out.min(), out.max()]).all():  # as _reject_non_finite
+    if not np.isfinite([inp.min(), inp.max(), out.min(), out.max()]).all():  # as _read_rows checks
         raise TrainingDiverged(config.epochs - 1, total_steps - 1)
     return model
 
@@ -427,9 +428,9 @@ def save_model(model: EmbeddingModel, path: str | Path, full: bool = False) -> N
             _write_rows(fh, model.vocab.words, model.output_vectors)
 
 
-def _read_header(fh, path, magic: str, names: tuple[str, ...]) -> list[int]:
+def _read_header(lines, path, magic: str, names: tuple[str, ...]) -> list[int]:
     """The integer fields ``names`` of a ``magic 1 ...`` header line."""
-    header = fh.readline().split()
+    header = next(lines, "").split()
     if header[:2] != [magic, _FORMAT_VERSION] or len(header) != 2 + len(names):
         raise ModelFormatError(
             f"{path}: bad header (expected '{magic} {_FORMAT_VERSION} {' '.join(names)}')"
@@ -440,15 +441,18 @@ def _read_header(fh, path, magic: str, names: tuple[str, ...]) -> list[int]:
         raise ModelFormatError(f"{path}: bad header ({', '.join(names)} must be integers)") from None
 
 
-def _read_rows(lines, n_rows, dim, path, block, what) -> tuple[list[str], np.ndarray]:
+def _read_rows(lines, n_rows, dim, path, block, what, keep=None):
     """The next ``n_rows`` non-blank ``lines`` as labelled rows of ``dim``
     finite floats; ``block`` and ``what`` name the block and the label kind
     in errors.  Assigning the strings to a float64 row parses them exactly
-    as float() does."""
-    labels: list[str] = []
-    matrix = np.empty((n_rows, dim))
-    seen = set()
-    for r in range(n_rows):
+    as float() does.  Returns every label in file order, then the labels and
+    matrix of the rows kept: all, or those labelled in the set ``keep``.
+    Every row is checked, a dropped one in the next free row; a non-finite
+    value fails after the loop, so a later row's syntax error comes first."""
+    labels, kept, seen = [], [], set()
+    matrix = np.empty((n_rows if keep is None else min(n_rows, len(keep) + 1), dim))
+    bad = None  # (kept rows before it, label) of the first dropped row holding a nan or inf
+    for _ in range(n_rows):
         try:
             label, *values = next(lines).split()
         except StopIteration:
@@ -461,44 +465,46 @@ def _read_rows(lines, n_rows, dim, path, block, what) -> tuple[list[str], np.nda
                 f"{path}: {what} {label!r}: expected {dim} values, got {len(values)}"
             )
         try:
-            matrix[r] = values
+            matrix[len(kept)] = values
         except ValueError:
             raise ModelFormatError(f"{path}: {what} {label!r}: malformed float") from None
         labels.append(label)
-    _reject_non_finite(matrix, labels, path, what)
-    return labels, matrix
+        if keep is None or label in keep:
+            kept.append(label)
+        elif bad is None and not np.isfinite(matrix[len(kept)]).all():  # before the next row overwrites it
+            bad = (len(kept), label)
+    matrix = matrix[:len(kept)]
+    if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):  # nan and inf reach min or max
+        row = int(np.isfinite(matrix).all(axis=1).argmin())
+        bad = bad if bad and bad[0] <= row else (row, kept[row])
+    if bad is not None:  # the first non-finite row in file order, kept or dropped
+        raise ModelFormatError(f"{path}: {what} {bad[1]!r}: non-finite value")
+    return labels, kept, matrix
 
 
-def _reject_non_finite(matrix: np.ndarray, labels: Sequence[str], path, what: str) -> None:
-    """Raise ModelFormatError naming the first row that holds a nan or inf.
+def load_model(path: str | Path, words: Collection[str] | None = None) -> EmbeddingModel:
+    """Read a model written by :func:`save_model`; vectors match bit for bit.
 
-    min and max propagate nan and reach any inf, so the common all-finite
-    case costs two reductions and no temporary the size of the matrix.
+    With the set ``words``, only their rows are kept, in file order, and
+    the vocabulary lists only them; every row is still read and checked.
     """
-    if matrix.size == 0 or (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
-        return
-    row = int(np.isfinite(matrix).all(axis=1).argmin())
-    raise ModelFormatError(f"{path}: {what} {labels[row]!r}: non-finite value")
-
-
-def load_model(path: str | Path) -> EmbeddingModel:
-    """Read a model written by :func:`save_model`; vectors match bit for bit."""
-    with open(path, encoding="utf-8") as fh:
-        V, D, seed = _read_header(fh, path, _MAGIC, ("V", "D", "seed"))
+    with open(path, "rb") as fh:  # decoded per line, so a bad byte fails naming its line
+        text = _text_lines(fh, path, ModelFormatError)
+        V, D, seed = _read_header(text, path, _MAGIC, ("V", "D", "seed"))
         if V < 1 or D < 1 or seed < 0:
             raise ModelFormatError(f"{path}: bad header (V={V}, D={D}, seed={seed})")
-        lines = (line for line in fh if line.strip())
-        words, input_vectors = _read_rows(lines, V, D, path, "input", "word")
-        output_vectors = np.broadcast_to(np.float64(0.0), (V, D))  # read-only zeros, no V x D buffer
+        lines = (line for line in text if line.strip())
+        labels, kept, input_vectors = _read_rows(lines, V, D, path, "input", "word", words)
+        output_vectors = np.broadcast_to(np.float64(0.0), input_vectors.shape)  # read-only zeros, no buffer
         trailer = next(lines, None)
         if trailer is not None and trailer.strip() == _OUTPUT_MARKER:
-            out_words, output_vectors = _read_rows(lines, V, D, path, "output", "word")
-            if out_words != words:
+            out_labels, _, output_vectors = _read_rows(lines, V, D, path, "output", "word", words)
+            if out_labels != labels:
                 raise ModelFormatError(f"{path}: output block word order differs from input block")
             trailer = next(lines, None)
         if trailer is not None:
             raise ModelFormatError(f"{path}: unexpected extra line {trailer.strip()!r}")
-    return EmbeddingModel(Vocabulary(tuple(words)), input_vectors, output_vectors, seed)
+    return EmbeddingModel(Vocabulary(tuple(kept)), input_vectors, output_vectors, seed, file_words=V)
 
 
 def save_document_vectors(vectors: Mapping[str, np.ndarray], path: str | Path) -> None:
@@ -520,12 +526,13 @@ def load_document_vectors(path: str | Path) -> tuple[dict[str, np.ndarray], int]
     """Read a file written by :func:`save_document_vectors`: the vectors
     keyed by doc id, and their dimension.  Rows get the checks of
     :func:`load_model`; D may be 0 only when N is 0."""
-    with open(path, encoding="utf-8") as fh:
-        n, dim = _read_header(fh, path, _DOCVEC_MAGIC, ("N", "D"))
+    with open(path, "rb") as fh:
+        text = _text_lines(fh, path, ModelFormatError)
+        n, dim = _read_header(text, path, _DOCVEC_MAGIC, ("N", "D"))
         if n < 0 or dim < (1 if n else 0):
             raise ModelFormatError(f"{path}: bad header (N={n}, D={dim})")
-        lines = (line for line in fh if line.strip())
-        doc_ids, matrix = _read_rows(lines, n, dim, path, "document", "doc")
+        lines = (line for line in text if line.strip())
+        _, doc_ids, matrix = _read_rows(lines, n, dim, path, "document", "doc")
         extra = next(lines, None)
         if extra is not None:
             raise ModelFormatError(f"{path}: unexpected extra line {extra.strip()!r}")

@@ -25,7 +25,7 @@ from .embedding import (
     load_model,
     save_document_vectors,
 )
-from .textprep import TokenStream
+from .textprep import TokenStream, _text_lines
 
 __all__ = [
     "Embedder",
@@ -68,8 +68,6 @@ class ReferenceEmbedder:
     of its in-vocabulary token vectors, so repeated words pull the mean."""
 
     def __init__(self, model: EmbeddingModel):
-        if len(model.vocab) == 0:
-            raise ValueError("model vocabulary is empty")
         self.model = model
         self._index = model.vocab.index
         self._nonzero = model.input_vectors.any(axis=1).tolist()
@@ -172,8 +170,8 @@ def load_extractions(path: str | Path) -> list[ExtractionResult]:
     """
     grouped: dict[str, list[KeywordScore]] = {}
     previous = None
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:  # decoded per line, so a bad byte fails naming its line
+        reader = csv.reader(_text_lines(fh, path))
         header = next(reader, None)
         if header != ["doc_id", "rank", "keyword", "score"]:
             raise ValueError(f"{path}:1: expected header doc_id,rank,keyword,score")

@@ -29,6 +29,7 @@ from .textprep import (
     StopwordList,
     TokenStream,
     _json_object,
+    _text_lines,
     filter_stopwords,
     load_base_stopwords,
     load_stopword_list,
@@ -188,8 +189,8 @@ def _prep_streams(corpus: Corpus, base: str | None, extras: Iterable[str]) -> li
     functions only, still sees tokenize and filter_stopwords as called by
     run_pipeline or the CLI handler and counts them as the text stage.
     """
-    base_list = load_stopword_list(base, "base") if base else load_base_stopwords()
-    stop = StopwordList.union(base_list, *(load_stopword_list(p, "curated") for p in extras))
+    base_list = load_stopword_list(base) if base else load_base_stopwords()
+    stop = StopwordList.union(base_list, *(load_stopword_list(p) for p in extras))
     return [filter_stopwords(TokenStream(d.id, tuple(map(sys.intern, tokenize(d.abstract)))), stop) for d in corpus]
 
 
@@ -389,8 +390,8 @@ def plot_projection(path: str | Path, out_dir: str | Path) -> list[Path]:
     file fail before any is written.
     """
     by_industry: dict[str, tuple[list[ProjectedPoint], dict[str, int]]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:  # decoded per line, so a bad byte fails naming its line
+        reader = csv.reader(_text_lines(fh, path))
         header = next(reader, None)
         if header != ["industry", "keyword", "x", "y", "cluster_id"]:
             raise ValueError(f"{path}:1: expected header industry,keyword,x,y,cluster_id")
@@ -425,6 +426,17 @@ def plot_projection(path: str | Path, out_dir: str | Path) -> list[Path]:
     return written
 
 
+def _anchor(industry: str, anchors: dict[str, str]) -> str | None:
+    """The anchor token of ``industry``: its configured one, else the first token of its name."""
+    token = anchors.get(industry)
+    return token if token is not None else next(iter(tokenize(industry)), None)
+
+
+def _lookups(tokens: Iterable[str], corpus: Corpus, anchors: dict[str, str] | None) -> set[str]:
+    """The words a run looks up in a model: ``tokens`` and each industry's anchor."""
+    return {*tokens, *filter(None, (_anchor(i, anchors or {}) for i in corpus.industries))}
+
+
 def analyze_extractions(
     results: list[ExtractionResult],
     corpus: Corpus,
@@ -454,10 +466,7 @@ def analyze_extractions(
             raise ValueError(f"keyword {missing[0]!r} of industry {industry!r} is not in the model")
         keywords = [(k, table.counts[k]) for k in selected]
 
-        anchor_token = anchors.get(industry)
-        if anchor_token is None:
-            industry_tokens = tokenize(industry)
-            anchor_token = industry_tokens[0] if industry_tokens else None
+        anchor_token = _anchor(industry, anchors)
         anchor_sims: dict[str, float] = {}
         anchor_used: str | None = None
         if anchor_token and anchor_token in model:
@@ -491,7 +500,7 @@ def analyze_extractions(
         # only fields the model file itself carries, so a report built from a
         # reloaded model matches one built from the freshly trained model
         model_meta={
-            "vocabulary": len(model.vocab),
+            "vocabulary": model.file_words or len(model.vocab),
             "dim": model.dim,
             "seed": model.seed,
         },
@@ -538,9 +547,11 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
     streams = stage(
         "stopwords", _prep_streams, corpus, config.base_stopwords, config.extra_stopwords
     )
-    model = stage(
-        "train", lambda: load_model(config.model) if config.model else train(streams, config.train)
-    )
+    if config.model:
+        words = _lookups((t for s in streams for t in s.tokens), corpus, config.anchors)
+        model = stage("train", load_model, config.model, words)
+    else:
+        model = stage("train", train, streams, config.train)
     if not config.extra_stopwords:
         # with no curated lists, streams hold the base-filtered tokens
         path = out_dir / "stopword_candidates.csv"
@@ -548,7 +559,8 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
         raise CurationRequired(path)
 
     if config.model:
-        log.info("model loaded: %d words, %d dimensions", len(model.vocab), model.dim)
+        log.info("model loaded: %d words (%d kept for this run), %d dimensions",
+                 model.file_words, len(model.vocab), model.dim)
     else:
         stage("train", save_model, model, out_dir / "model.w2v")
         log.info(

@@ -15,17 +15,13 @@ from typing import Sequence
 __all__ = [
     "TokenStream",
     "StopwordList",
-    "STOPWORD_TIERS",
     "tokenize",
     "filter_stopwords",
     "load_stopword_list",
-    "save_stopword_list",
     "load_base_stopwords",
     "load_token_streams",
     "save_token_streams",
 ]
-
-STOPWORD_TIERS = ("base", "generated", "curated")
 
 # a run of characters for which str.isalnum() is true: \w less the underscore
 _WORD = re.compile(r"[^\W_]+")
@@ -42,7 +38,8 @@ def _json_object(pairs: list) -> dict:
 def _text_lines(fh, path, error=ValueError):
     """Binary file ``fh``'s lines as a newline="" text file splits them, each
     decoded alone, so that a bad byte fails as ``error`` at ``path``:line."""
-    lines = (line for raw in fh for line in raw.splitlines(keepends=True))  # at \n, \r\n or \r
+    # at \n, \r\n or \r: a binary read ends lines at \n, so only a line holding \r splits again
+    lines = (line for raw in fh for line in (raw.splitlines(keepends=True) if b"\r" in raw else (raw,)))
     for lineno, line in enumerate(lines, 1):
         try:
             yield line.decode("utf-8")
@@ -69,14 +66,11 @@ class TokenStream:
 
 @dataclass(frozen=True)
 class StopwordList:
-    """Deduplicated, ordered lowercase stop tokens with a provenance tier."""
+    """Deduplicated, ordered lowercase stop tokens."""
 
     entries: tuple[str, ...]
-    tier: str
 
     def __post_init__(self):
-        if self.tier not in STOPWORD_TIERS:
-            raise ValueError(f"unknown stopword tier {self.tier!r}")
         seen = set()
         for entry in self.entries:
             if not entry or not all(ch.isalnum() for ch in entry):
@@ -99,8 +93,8 @@ class StopwordList:
 
     @classmethod
     def union(cls, *lists: StopwordList) -> StopwordList:
-        """Every entry of ``lists`` once, in order, under the last list's tier."""
-        return cls(tuple(dict.fromkeys(e for sl in lists for e in sl.entries)), lists[-1].tier)
+        """Every entry of ``lists`` once, in order."""
+        return cls(tuple(dict.fromkeys(e for sl in lists for e in sl.entries)))
 
 
 def filter_stopwords(stream: TokenStream, *lists: StopwordList) -> TokenStream:
@@ -109,7 +103,7 @@ def filter_stopwords(stream: TokenStream, *lists: StopwordList) -> TokenStream:
     return TokenStream(stream.doc_id, tuple(filterfalse(stop.__contains__, stream.tokens)))
 
 
-def load_stopword_list(path: str | Path, tier: str) -> StopwordList:
+def load_stopword_list(path: str | Path) -> StopwordList:
     """Read one token per line; ``#`` lines are comments, duplicates collapse."""
     entries: list[str] = []
     seen = set()
@@ -124,20 +118,14 @@ def load_stopword_list(path: str | Path, tier: str) -> StopwordList:
             if entry not in seen:
                 seen.add(entry)
                 entries.append(entry)
-    return StopwordList(tuple(entries), tier)
-
-
-def save_stopword_list(stopwords: StopwordList, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in stopwords.entries:
-            fh.write(entry + "\n")
+    return StopwordList(tuple(entries))
 
 
 def load_base_stopwords() -> StopwordList:
-    """The bundled general-English stopword list (tier ``base``)."""
+    """The bundled general-English stopword list."""
     ref = resources.files("trendlens").joinpath("data/english_stopwords.txt")
     with resources.as_file(ref) as path:
-        return load_stopword_list(path, "base")
+        return load_stopword_list(path)
 
 
 def save_token_streams(streams: Sequence[TokenStream], path: str | Path) -> None:

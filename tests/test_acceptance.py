@@ -314,7 +314,7 @@ def test_c08_stopword_induction_and_curation():
         )
     corpus = Corpus(tuple(docs))
     embedder = _HandEmbedder(vectors)
-    base = StopwordList((), "base")
+    base = StopwordList(())
 
     # the planted token tops each document's extraction
     for doc in corpus:
@@ -327,7 +327,7 @@ def test_c08_stopword_induction_and_curation():
     ranked = dict(candidates)
     assert "method" in ranked and ranked["method"] == len(corpus)
 
-    curated = StopwordList(("method",), "curated")
+    curated = StopwordList(("method",))
     for doc in corpus:
         stream = filter_stopwords(TokenStream(doc.id, tuple(tokenize(doc.abstract))), base, curated)
         result = extract_keywords(stream, embedder, 2)

@@ -449,6 +449,37 @@ class TestPlotSubcommand:
         assert not out_dir.exists() or not list(out_dir.iterdir())
 
 
+class TestInvalidUtf8NamesPathAndLine:
+    """The model, docvec, extraction CSV and projection CSV readers decode
+    per line, so a bad byte fails naming its file and line (exit 1)."""
+
+    @pytest.mark.parametrize("reader", ["model", "docvec", "keywords", "projection"])
+    def test_bad_byte(self, tmp_path, caplog, reader):
+        corpus, model = TestExtractSubcommand().setup_model(tmp_path)
+        keywords, out_dir = tmp_path / "k.csv", tmp_path / "out"
+        assert main(["extract", "--input", str(corpus), "--model", str(model), "--out", str(keywords)]) == EXIT_OK
+        bad = tmp_path / "bad"
+        if reader == "model":
+            lines = model.read_bytes().splitlines(keepends=True)
+            bad.write_bytes(b"".join([lines[0], b"caf\xc3 " + lines[1].split(b" ", 1)[1], *lines[2:]]))
+            argv = ["extract", "--input", str(corpus), "--model", str(bad), "--out", str(tmp_path / "o.csv")]
+        elif reader == "docvec":
+            bad.write_bytes(b"trendlens-docvec 1 1 8\nP\xc30 " + b"0.5 " * 8 + b"\n")
+            argv = ["extract", "--input", str(corpus), "--doc-vectors", str(bad), "--word-vectors", str(model),
+                    "--out", str(tmp_path / "o.csv")]
+        elif reader == "keywords":
+            lines = keywords.read_bytes().splitlines(keepends=True)
+            bad.write_bytes(b"".join([lines[0], b"P0,1,caf\xc3,0.5\n", *lines[1:]]))
+            argv = ["analyze", "--keywords", str(bad), "--corpus", str(corpus), "--model", str(model),
+                    "--out-dir", str(out_dir)]
+        else:
+            bad.write_bytes(b"industry,keyword,x,y,cluster_id\nmedical,caf\xc3,0.1,0.2,0\n")
+            argv = ["plot", "--projection", str(bad), "--out-dir", str(out_dir)]
+        assert main(argv) == EXIT_FAILURE
+        assert f"{bad}:2: 'utf-8' codec can't decode byte 0xc3" in caplog.text
+        assert not out_dir.exists() and not (tmp_path / "o.csv").exists()
+
+
 class TestPipelineConfigPrecedence:
     def test_flags_override_config(self, tmp_path):
         corpus = tmp_path / "c.jsonl"

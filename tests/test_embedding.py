@@ -731,3 +731,88 @@ class TestModelFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelFormatError, match=re.escape(f"{path}: word '{word}': non-finite")):
             load_model(path)
+
+
+def _subsets(words):
+    """Every subset of ``words``, each also with a word the file lacks."""
+    for mask in range(1 << len(words)):
+        subset = {w for i, w in enumerate(words) if mask >> i & 1}
+        yield subset
+        yield subset | {"absent"}
+
+
+class TestPartialLoads:
+    """load_model(path, words) keeps only the rows of ``words`` but reads and
+    checks every row as a full load does."""
+
+    def test_kept_rows_equal_full_rows_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(5)
+        words = tuple(f"w{i:02d}" for i in range(50))
+        path = tmp_path / "m.w2v"
+        inp, out = rng.normal(size=(50, 7)) * 10.0 ** rng.integers(-300, 300, (50, 7)), rng.normal(size=(50, 7))
+        save_model(EmbeddingModel(Vocabulary(words), inp, out, seed=2), path, full=True)
+        full = load_model(path)
+        wanted = set(rng.choice(words, size=12, replace=False).tolist()) | {"absent", "other"}
+        part = load_model(path, wanted)
+        kept = [i for i, w in enumerate(words) if w in wanted]
+        assert part.vocab.words == tuple(words[i] for i in kept)
+        assert part.input_vectors.tobytes() == full.input_vectors[kept].tobytes()
+        assert part.output_vectors.tobytes() == full.output_vectors[kept].tobytes()
+        assert (part.file_words, full.file_words, part.seed, part.dim) == (50, 50, 2, 7)
+        assert load_model(path, set(words)).input_vectors.tobytes() == full.input_vectors.tobytes()
+
+    def test_without_an_output_block_the_output_rows_are_zeros(self, tmp_path):
+        path = tmp_path / "m.w2v"
+        path.write_text("trendlens-w2v 1 3 2 7\na 1.0 2.0\nb 3.0 4.0\nc 5.0 6.0\n")
+        part = load_model(path, {"c", "a"})
+        assert part.vocab.words == ("a", "c")
+        assert part.input_vectors.tolist() == [[1.0, 2.0], [5.0, 6.0]]
+        assert part.output_vectors.shape == (2, 2) and not part.output_vectors.any()
+        assert not part.output_vectors.flags.writeable
+        empty = load_model(path, set())
+        assert (len(empty.vocab), empty.dim, empty.file_words) == (0, 2, 3)
+
+    @pytest.mark.parametrize("text, error", [
+        ("3 3\nfoo 1.0 2.0 3.0\nbar 0.5 0.25\nbaz 1 2 3\n", "word 'bar': expected 3 values, got 2"),
+        ("3 3\nfoo 1.0 2.0 3.0\nbar 0.5 x 0.25\nbaz 1 2 3\n", "word 'bar': malformed float"),
+        ("3 1\nfoo 1.0\nbar 2.0\nfoo 3.0\n", "duplicate word 'foo'"),
+        ("3 1\nfoo 1.0\nbar 2.0\n", "unexpected end of file in input block"),
+        ("1 1\nfoo 1.0\nbar 2.0\n", "unexpected extra line 'bar 2.0'"),
+        ("4 1\na 1.0\nb nan\nc inf\nd 2.0\n", "word 'b': non-finite value"),  # the first in file order
+        ("3 1\na -inf\nb 1.0\nc nan\n", "word 'a': non-finite value"),
+        ("3 1\na nan\nb 1.0\nc x\n", "word 'c': malformed float"),  # syntax errors come first
+        ("3 1\na 1.0\nb 2.0\nc 3.0\n#output\na 1.0\nb -inf\nc nan\n", "word 'b': non-finite value"),
+        ("3 1\na inf\nb 2.0\nc 3.0\n#output\na 1.0\nb nan\nc 3.0\n", "word 'a': non-finite value"),
+        ("3 1\na 1.0\nb 2.0\nc 3.0\n#output\na 1.0\nc 3.0\nb 2.0\n", "output block word order differs"),
+        ("3 1\na 1.0\nb 2.0\nc 3.0\n#output\na 1.0\nb 2.0\n", "unexpected end of file in output block"),
+        ("2 1\na 1.0\nb 2.0\n#output\na 1.0\nb 2.0\nc 3.0\n", "unexpected extra line 'c 3.0'"),
+    ])
+    def test_a_dropped_row_fails_as_in_a_full_load(self, tmp_path, text, error):
+        """Each file fails as ``error`` on a full load, and with the same
+        message whichever of its words a partial load keeps."""
+        path = tmp_path / "m.w2v"
+        path.write_text("trendlens-w2v 1 " + text.replace("\n", " 7\n", 1))
+        with pytest.raises(ModelFormatError, match=re.escape(f"{path}: {error}")) as full:
+            load_model(path)
+        labels = sorted({line.split()[0] for line in text.splitlines()[1:] if line != "#output"})
+        for words in _subsets(labels):
+            with pytest.raises(ModelFormatError) as part:
+                load_model(path, words)
+            assert str(part.value) == str(full.value), words
+
+    def test_output_order_that_differs_only_in_dropped_words_fails(self, tmp_path):
+        path = tmp_path / "m.w2v"
+        path.write_text("trendlens-w2v 1 3 1 7\na 1.0\nb 2.0\nc 3.0\n#output\na 4.0\nc 6.0\nb 5.0\n")
+        with pytest.raises(ModelFormatError, match="output block word order differs"):
+            load_model(path, {"a"})
+
+    def test_memory_follows_the_kept_rows(self, tmp_path):
+        rng = np.random.default_rng(3)
+        words = tuple(f"w{i:04d}" for i in range(2000))
+        path = tmp_path / "m.w2v"
+        rows = rng.normal(size=(2000, 100))
+        save_model(EmbeddingModel(Vocabulary(words), rows, np.zeros_like(rows), seed=1), path)
+        wanted = set(words[::10])
+        model, peak = traced_peak(load_model, path, wanted)
+        assert model.input_vectors.shape == (200, 100)
+        assert peak <= model.input_vectors.nbytes + (512 << 10)

@@ -231,7 +231,7 @@ class TestExtract:
 
     def test_stopwords_excluded_from_candidates(self):
         model = model_from({"the": [1.0, 0.0], "signal": [0.9, 0.1]})
-        stop = StopwordList(("the",), "base")
+        stop = StopwordList(("the",))
         result = extract_keywords(filter_stopwords(stream("the", "signal"), stop), ReferenceEmbedder(model), 5)
         assert [ks.keyword for ks in result.keywords] == ["signal"]
 
@@ -243,7 +243,7 @@ class TestExtract:
 
     def test_all_stopwords_warns(self):
         model = model_from({"a": [1.0, 0.0]})
-        stop = StopwordList(("a",), "base")
+        stop = StopwordList(("a",))
         result = extract_keywords(filter_stopwords(stream("a", "a"), stop), ReferenceEmbedder(model), 5)
         assert result.keywords == () and result.warning
 
@@ -279,7 +279,7 @@ class TestExtract:
     def test_result_invariants(self):
         model = random_model(25, 5, seed=12)
         rng = np.random.default_rng(13)
-        stop = StopwordList(("w001", "w002"), "curated")
+        stop = StopwordList(("w001", "w002"))
         for i in range(20):
             tokens = tuple(rng.choice(model.vocab.words, size=10))
             doc = filter_stopwords(TokenStream(f"D{i}", tokens), stop)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from trendlens import embedding
 from trendlens.cli import EXIT_OK, main
 from trendlens.corpus import load_corpus
 from trendlens.embedding import TrainConfig, train
@@ -16,6 +17,7 @@ from trendlens.pipeline import (
     resolve_config,
     run_pipeline,
 )
+from trendlens.textprep import tokenize
 
 FIXTURE = Path("src/trendlens/data/fixture")
 
@@ -176,6 +178,63 @@ class TestDeterminism:
         assert (pipeline_dir / "keywords.csv").read_bytes() == keywords.read_bytes()
         for name in FINAL_OUTPUTS:
             assert (pipeline_dir / name).read_bytes() == (out_dir / name).read_bytes(), name
+
+
+class TestPretrainedRunKeepsTheRowsItLooksUp:
+    """A pretrained run loads only the model rows of its stream tokens and
+    anchors, and writes what a full load and the staged chain write."""
+
+    def test_partial_load_matches_full_load_and_staged_chain(self, fixture_run, tmp_path, caplog, monkeypatch):
+        pipeline_dir, _ = fixture_run
+        records = [json.loads(line) for line in (FIXTURE / "corpus.jsonl").read_text().splitlines()]
+        for record in records:
+            if record["industry"] == "transport":
+                record["industry"] = "Quantum optics"  # anchored by its name's first token
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert not {"quantum", "xylophone"} & {t for r in records for t in tokenize(r["abstract"])}
+        # the anchors and two words no run looks up, spread through a copy of the trained model
+        header, *rows = (pipeline_dir / "model.w2v").read_text().splitlines()
+        magic, version, n, dim, seed = header.split()
+        extra = [w + " " + rows[i].split(" ", 1)[1] for i, w in enumerate(["quantum", "zz1", "xylophone", "zz2"])]
+        rows = [extra[0], *rows[:5], extra[1], *rows[5:9], extra[2], *rows[9:], extra[3]]
+        model = tmp_path / "model.w2v"
+        model.write_text("\n".join([f"{magic} {version} {int(n) + 4} {dim} {seed}", *rows]) + "\n")
+        config = json.loads((FIXTURE / "config.json").read_text())
+        anchors = {"medical": "xylophone"}
+
+        def run(out_dir):
+            overrides = {"corpus": str(corpus), "model": str(model), "anchors": anchors, "out_dir": str(out_dir)}
+            run_pipeline(resolve_config(FIXTURE / "config.json", overrides))
+            return {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != "config.resolved"}
+
+        with caplog.at_level("INFO", logger="trendlens.pipeline"):
+            partial = run(tmp_path / "partial")
+        assert f"model loaded: {int(n) + 4} words ({int(n) + 2} kept for this run), {dim} dimensions" in caplog.messages
+        anchor_rows = read_rows(tmp_path / "partial" / "anchor_similarity.csv")
+        assert {"quantum", "xylophone"} <= {r["anchor"] for r in anchor_rows}
+        assert json.loads(partial["trend_report.json"])["model"]["vocabulary"] == int(n) + 4
+
+        with monkeypatch.context() as m:
+            m.setattr("trendlens.pipeline.load_model", lambda path, words=None: embedding.load_model(path))
+            assert run(tmp_path / "full") == partial
+
+        staged = tmp_path / "staged"
+        norm, tokens, keywords = staged / "norm.jsonl", staged / "tokens.jsonl", staged / "keywords.csv"
+        staged.mkdir()
+        curated = str(FIXTURE / "curated_stopwords.txt")
+        assert main(["ingest", "--input", str(corpus), "--out", str(norm),
+                     "--tokens-out", str(tokens), "--extra-stopwords", curated]) == EXIT_OK
+        assert main(["extract", "--input", str(tokens), "--model", str(model),
+                     "--top-n", str(config["top_n"]), "--out", str(keywords)]) == EXIT_OK
+        assert main(["analyze", "--keywords", str(keywords), "--corpus", str(norm), "--model", str(model),
+                     "--top-percent", str(config["top_percent"]),
+                     "--cluster-threshold", str(config["cluster_threshold"]),
+                     "--anchor", "medical=xylophone", "--out-dir", str(staged / "out")]) == EXIT_OK
+        assert main(["plot", "--projection", str(staged / "out" / "projection.csv"),
+                     "--out-dir", str(staged / "out")]) == EXIT_OK
+        chain = {p.name: p.read_bytes() for p in (staged / "out").iterdir()}
+        assert {"keywords.csv": keywords.read_bytes(), **chain} == partial
 
 
 class TestGoldenPlot:

@@ -19,7 +19,6 @@ from trendlens.textprep import (
     filter_stopwords,
     load_base_stopwords,
     load_stopword_list,
-    save_stopword_list,
     load_token_streams,
     save_token_streams,
     tokenize,
@@ -100,8 +99,8 @@ def stream(*tokens):
     return TokenStream("D", tuple(tokens))
 
 
-def stoplist(*entries, tier="base"):
-    return StopwordList(tuple(entries), tier)
+def stoplist(*entries):
+    return StopwordList(tuple(entries))
 
 
 class TestFilterStopwords:
@@ -114,18 +113,18 @@ class TestFilterStopwords:
         assert filter_stopwords(s) == s
 
     def test_two_tier_union(self):
-        # 'method' from the generated tier, 'for' from the base tier
+        # 'method' from a curated list, 'for' from the base list
         out = filter_stopwords(
             stream("method", "for", "detecting", "threats"),
-            stoplist("method", tier="generated"),
-            stoplist("for", tier="base"),
+            stoplist("method"),
+            stoplist("for"),
         )
         assert out.tokens == ("detecting", "threats")
 
     def test_union_filters_as_its_lists_do(self):
-        base, curated = stoplist("for", "the", tier="base"), stoplist("the", "method", tier="curated")
+        base, curated = stoplist("for", "the"), stoplist("the", "method")
         union = StopwordList.union(base, curated)
-        assert (union.entries, union.tier) == (("for", "the", "method"), "curated")
+        assert union.entries == ("for", "the", "method")
         s = stream("the", "method", "for", "detecting", "threats")
         assert filter_stopwords(s, union) == filter_stopwords(s, base, curated)
 
@@ -145,7 +144,7 @@ class TestFilterStopwords:
     @given(st.lists(st.sampled_from("abcdef"), max_size=20), st.sets(st.sampled_from("abcdef")))
     def test_subsequence_property(self, tokens, stop):
         s = TokenStream("D", tuple(tokens))
-        lst = StopwordList(tuple(sorted(stop)), "base")
+        lst = StopwordList(tuple(sorted(stop)))
         out = filter_stopwords(s, lst)
         assert len(out.tokens) <= len(s.tokens)
         it = iter(s.tokens)
@@ -157,15 +156,8 @@ class TestStopwordFiles:
     def test_dedup_and_comments(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("a\nb\n# note\nb\n")
-        lst = load_stopword_list(path, "generated")
+        lst = load_stopword_list(path)
         assert lst.entries == ("a", "b")
-        assert lst.tier == "generated"
-
-    def test_round_trip(self, tmp_path):
-        lst = stoplist("system", "method", "device", tier="curated")
-        path = tmp_path / "s.txt"
-        save_stopword_list(lst, path)
-        assert load_stopword_list(path, "curated") == lst
 
     @pytest.mark.parametrize("data, error", [
         (b"fine\ntwo words\n", ""),
@@ -176,28 +168,23 @@ class TestStopwordFiles:
         path = tmp_path / "s.txt"
         path.write_bytes(data)
         with pytest.raises(ValueError, match=re.escape(f"{path}:2:{error}")):
-            load_stopword_list(path, "base")
+            load_stopword_list(path)
 
     def test_punctuation_entry_rejected(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("semi;colon\n")
         with pytest.raises(ValueError, match=":1:"):
-            load_stopword_list(path, "base")
+            load_stopword_list(path)
 
     def test_entries_lowercased(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("The\nthe\n")
-        assert load_stopword_list(path, "base").entries == ("the",)
+        assert load_stopword_list(path).entries == ("the",)
 
     def test_bundled_base_list(self):
         base = load_base_stopwords()
-        assert base.tier == "base"
         assert len(base) == 318  # the classic frozen English list
         assert "the" in base and "whence" in base
-
-    def test_unknown_tier(self):
-        with pytest.raises(ValueError, match="tier"):
-            StopwordList(("a",), "bogus")
 
 
 class TestTokenStreamFiles:

@@ -167,7 +167,7 @@ class TestStopwordCandidates:
             vectors[word] = [0.8, 0.6] if i % 2 == 0 else [0.8, -0.6]
             docs.append(doc(f"D{i}", "medical", f"method {word} {word}"))
         corpus = Corpus(tuple(docs))
-        base = StopwordList((), "base")
+        base = StopwordList(())
         candidates = generate_stopword_candidates(
             base_streams(corpus, base), HandEmbedder(vectors), top_k=30, top_n=5
         )
@@ -178,7 +178,7 @@ class TestStopwordCandidates:
         vectors = {"alpha": [1.0, 0.0], "beta": [0.0, 1.0]}
         corpus = Corpus((doc("D0", "medical", "alpha beta"),))
         candidates = generate_stopword_candidates(
-            base_streams(corpus, StopwordList((), "base")), HandEmbedder(vectors), top_k=30, top_n=5
+            base_streams(corpus, StopwordList(())), HandEmbedder(vectors), top_k=30, top_n=5
         )
         assert {k for k, _ in candidates} <= {"alpha", "beta"}
 
@@ -188,11 +188,11 @@ class TestStopwordCandidates:
         vectors = {"method": [1.0, 0.0], "scan": [0.8, 0.6], "image": [0.6, 0.8]}
         corpus = Corpus(tuple(doc(f"D{i}", "medical", "method scan image") for i in range(4)))
         embedder = HandEmbedder(vectors)
-        base = StopwordList((), "base")
+        base = StopwordList(())
         candidates = generate_stopword_candidates(base_streams(corpus, base), embedder, top_k=30)
         assert "method" in {k for k, _ in candidates}
 
-        curated = StopwordList(("method",), "curated")
+        curated = StopwordList(("method",))
         for d in corpus:
             stream = filter_stopwords(TokenStream(d.id, tuple(tokenize(d.abstract))), base, curated)
             result = extract_keywords(stream, embedder, 5)
@@ -203,13 +203,13 @@ class TestStopwordCandidates:
         docs = [doc(f"D{i}", "m", " ".join(f"w{j:02d}" for j in range(i, i + 10))) for i in range(30)]
         corpus = Corpus(tuple(docs))
         candidates = generate_stopword_candidates(
-            base_streams(corpus, StopwordList((), "base")), HandEmbedder(vectors), top_k=30, top_n=10
+            base_streams(corpus, StopwordList(())), HandEmbedder(vectors), top_k=30, top_n=10
         )
         assert len(candidates) == 30
 
     def test_top_k_below_one_rejected(self):
         corpus = Corpus((doc("D0", "medical", "alpha beta"),))
-        streams = base_streams(corpus, StopwordList((), "base"))
+        streams = base_streams(corpus, StopwordList(()))
         for top_k in (0, -1):
             with pytest.raises(ValueError, match=f"top_k must be >= 1, got {top_k}"):
                 generate_stopword_candidates(streams, HandEmbedder({"alpha": [1.0, 0.0]}), top_k=top_k)
@@ -217,7 +217,7 @@ class TestStopwordCandidates:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             generate_stopword_candidates(
-                base_streams(Corpus(()), StopwordList((), "base")), HandEmbedder({"a": [1.0, 0.0]})
+                base_streams(Corpus(()), StopwordList(())), HandEmbedder({"a": [1.0, 0.0]})
             )
 
 
