@@ -9,7 +9,6 @@ stopword curation required, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -43,6 +42,8 @@ from .pipeline import (
 from .textprep import (
     StopwordList,
     TokenStream,
+    _json_lines,
+    _text_lines,
     filter_stopwords,
     load_stopword_list,
     load_token_streams,
@@ -101,7 +102,8 @@ def _read_query(args) -> str | None:
     if getattr(args, "query", None):
         return args.query
     if getattr(args, "query_file", None):
-        return Path(args.query_file).read_text(encoding="utf-8").strip()
+        with open(args.query_file, "rb") as fh:  # decoded per line, so a bad byte fails naming its line
+            return "\n".join(line.rstrip("\r\n") for line in _text_lines(fh, args.query_file)).strip()
     return None
 
 
@@ -114,11 +116,9 @@ def _input_streams(args) -> list[TokenStream]:
     explicitly are applied again.  Anything else is read as a corpus, then
     tokenized and stopword-filtered.
     """
-    with open(args.input, "rb") as fh:  # bytes, so that a bad one fails in the reader, naming its line
-        first = next((line for line in fh if line.strip()), b"")
     try:
-        record = json.loads(first)
-    except ValueError:
+        record = next(_json_lines(args.input), (None, None))[1]
+    except ValueError:  # not JSONL, or bad at its first record: the corpus reader names the fault
         record = None
     if isinstance(record, dict) and set(record) == {"id", "tokens"}:
         streams = load_token_streams(args.input)

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .query import QueryExpr, eval_query
-from .textprep import _json_object, _text_lines
+from .textprep import _csv_rows, _json_lines, _write_json_lines
 
 __all__ = [
     "PatentDocument",
@@ -75,7 +73,9 @@ class Corpus:
         return iter(self.documents)
 
 
-def _record_to_document(record: dict, where: str) -> PatentDocument:
+def _record_to_document(record, where: str) -> PatentDocument:
+    if not isinstance(record, dict):
+        raise CorpusError(f"{where}: expected a JSON object")
     missing = [f for f in _FIELDS if f not in record]
     if missing:
         raise CorpusError(f"{where}: missing field(s) {', '.join(missing)}")
@@ -109,58 +109,35 @@ def load_corpus(path: str | Path, format: str | None = None) -> Corpus:
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if format not in FORMATS:
         raise CorpusError(f"unknown corpus format {format!r}")
-    docs = _load_jsonl(path) if format == "jsonl" else _load_csv(path)
+    docs: dict[str, PatentDocument] = {}
+    for where, record in _json_lines(path, CorpusError) if format == "jsonl" else _csv_records(path):
+        doc = _record_to_document(record, where)
+        if doc.id in docs:
+            raise CorpusError(f"{where}: duplicate id {doc.id!r}")
+        docs[doc.id] = doc
     if not docs:
         raise CorpusError(f"{path}: empty corpus file")
-    seen = set()
-    for doc, where in docs:
-        if doc.id in seen:
-            raise CorpusError(f"{where}: duplicate id {doc.id!r}")
-        seen.add(doc.id)
-    return Corpus(tuple(doc for doc, _ in docs))
+    return Corpus(tuple(docs.values()))
 
 
-def _load_jsonl(path: Path) -> list[tuple[PatentDocument, str]]:
-    docs = []
-    with open(path, "rb") as fh:  # decoded per line, so a bad byte fails naming its line
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(raw.decode("utf-8"), object_pairs_hook=_json_object)
-            except ValueError as exc:
-                raise CorpusError(f"{where}: invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise CorpusError(f"{where}: expected a JSON object")
-            docs.append((_record_to_document(record, where), where))
-    return docs
-
-
-def _load_csv(path: Path) -> list[tuple[PatentDocument, str]]:
-    docs = []
-    with open(path, "rb") as fh:
-        reader = csv.DictReader(_text_lines(fh, path, CorpusError))
-        if reader.fieldnames is None:
-            return []
-        if set(reader.fieldnames) != set(_FIELDS) or len(reader.fieldnames) != len(_FIELDS):
-            raise CorpusError(
-                f"{path}:1: header must contain exactly the columns {', '.join(_FIELDS)}"
-            )
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if None in row.values() or None in row:
-                raise CorpusError(f"{where}: expected exactly {len(_FIELDS)} fields")
-            docs.append((_record_to_document(dict(row), where), where))
-    return docs
+def _csv_records(path: Path):
+    """Each non-blank row of a corpus CSV as ``(path:line, record)``; the
+    header names the fields in any order."""
+    rows = _csv_rows(path, CorpusError)
+    header = next(rows, (None, _FIELDS))[1]
+    if set(header) != set(_FIELDS) or len(header) != len(_FIELDS):
+        raise CorpusError(f"{path}:1: header must contain exactly the columns {', '.join(_FIELDS)}")
+    for where, row in rows:
+        if not row:
+            continue
+        if len(row) != len(_FIELDS):
+            raise CorpusError(f"{where}: expected exactly {len(_FIELDS)} fields")
+        yield where, dict(zip(header, row))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write the corpus as canonical JSONL (fixed key order, UTF-8)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus.documents:
-            record = {f: getattr(doc, f) for f in _FIELDS}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    _write_json_lines(path, ({f: getattr(doc, f) for f in _FIELDS} for doc in corpus.documents))
 
 
 def filter_corpus(corpus: Corpus, expr: QueryExpr) -> Corpus:

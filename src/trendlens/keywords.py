@@ -10,7 +10,6 @@ source changes nothing downstream.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from .embedding import (
     load_model,
     save_document_vectors,
 )
-from .textprep import TokenStream, _text_lines
+from .textprep import TokenStream, _csv_table, _write_csv
 
 __all__ = [
     "Embedder",
@@ -152,12 +151,9 @@ def extract_keywords(stream: TokenStream, embedder: Embedder, top_n: int) -> Ext
 
 def save_extractions(results: Sequence[ExtractionResult], path: str | Path) -> None:
     """Write per-document keywords as CSV: doc_id,rank,keyword,score."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["doc_id", "rank", "keyword", "score"])
-        for result in results:
-            for rank, ks in enumerate(result.keywords, 1):
-                writer.writerow([result.doc_id, rank, ks.keyword, f"{ks.score:.6f}"])
+    rows = ([r.doc_id, rank, ks.keyword, f"{ks.score:.6f}"]
+            for r in results for rank, ks in enumerate(r.keywords, 1))
+    _write_csv(path, ["doc_id", "rank", "keyword", "score"], rows)
 
 
 def load_extractions(path: str | Path) -> list[ExtractionResult]:
@@ -170,29 +166,20 @@ def load_extractions(path: str | Path) -> list[ExtractionResult]:
     """
     grouped: dict[str, list[KeywordScore]] = {}
     previous = None
-    with open(path, "rb") as fh:  # decoded per line, so a bad byte fails naming its line
-        reader = csv.reader(_text_lines(fh, path))
-        header = next(reader, None)
-        if header != ["doc_id", "rank", "keyword", "score"]:
-            raise ValueError(f"{path}:1: expected header doc_id,rank,keyword,score")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 4:
-                raise ValueError(f"{where}: expected 4 fields, got {len(row)}")
-            doc_id, rank, keyword, score = row
-            if not doc_id or not keyword:
-                raise ValueError(f"{where}: empty {'doc_id' if not doc_id else 'keyword'}")
-            kws = grouped.setdefault(doc_id, [])
-            if kws and doc_id != previous:
-                raise ValueError(f"{where}: rows of doc_id {doc_id!r} are not contiguous")
-            if rank != str(len(kws) + 1):
-                raise ValueError(f"{where}: rank {rank!r}, expected {len(kws) + 1}")
-            previous = doc_id
-            try:
-                value = float(score)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"{where}: score {score!r} is not a finite number")
-            kws.append(KeywordScore(keyword, value))
+    for where, (doc_id, rank, keyword, score) in _csv_table(path, ["doc_id", "rank", "keyword", "score"]):
+        if not doc_id or not keyword:
+            raise ValueError(f"{where}: empty {'doc_id' if not doc_id else 'keyword'}")
+        kws = grouped.setdefault(doc_id, [])
+        if kws and doc_id != previous:
+            raise ValueError(f"{where}: rows of doc_id {doc_id!r} are not contiguous")
+        if rank != str(len(kws) + 1):
+            raise ValueError(f"{where}: rank {rank!r}, expected {len(kws) + 1}")
+        previous = doc_id
+        try:
+            value = float(score)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: score {score!r} is not a finite number")
+        kws.append(KeywordScore(keyword, value))
     return [ExtractionResult(doc_id, tuple(kws)) for doc_id, kws in grouped.items()]

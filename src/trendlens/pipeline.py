@@ -10,7 +10,6 @@ share one step that ranks and writes the candidates.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import logging
@@ -28,8 +27,9 @@ from .svgplot import emit_scatter_svg
 from .textprep import (
     StopwordList,
     TokenStream,
+    _csv_table,
     _json_object,
-    _text_lines,
+    _write_csv,
     filter_stopwords,
     load_base_stopwords,
     load_stopword_list,
@@ -328,45 +328,33 @@ def _safe_name(industry: str) -> str:
 
 
 def write_frequencies_csv(report: TrendReport, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["industry", "keyword", "count", "rank"])
-        for industry in sorted(report.industries):
-            for rank, (keyword, count) in enumerate(report.industries[industry].keywords, 1):
-                writer.writerow([industry, keyword, count, rank])
+    rows = (
+        [industry, keyword, count, rank]
+        for industry in sorted(report.industries)
+        for rank, (keyword, count) in enumerate(report.industries[industry].keywords, 1)
+    )
+    _write_csv(path, ["industry", "keyword", "count", "rank"], rows)
 
 
 def write_projection_csv(report: TrendReport, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["industry", "keyword", "x", "y", "cluster_id"])
-        for industry in sorted(report.industries):
-            trend = report.industries[industry]
-            if trend.clusters is None:
-                continue
-            labels = trend.clusters.labels()
-            for point in trend.points:
-                writer.writerow(
-                    [
-                        industry,
-                        point.keyword,
-                        f"{point.xy[0]:.6f}",
-                        f"{point.xy[1]:.6f}",
-                        labels[point.keyword],
-                    ]
-                )
+    rows = (
+        [industry, p.keyword, f"{p.xy[0]:.6f}", f"{p.xy[1]:.6f}", labels[p.keyword]]
+        for industry, trend in sorted(report.industries.items())
+        if trend.clusters is not None
+        for labels in [trend.clusters.labels()]  # once per industry
+        for p in trend.points
+    )
+    _write_csv(path, ["industry", "keyword", "x", "y", "cluster_id"], rows)
 
 
 def write_anchor_csv(report: TrendReport, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["industry", "keyword", "anchor", "cosine"])
-        for industry in sorted(report.industries):
-            trend = report.industries[industry]
-            if trend.anchor is None:
-                continue
-            for keyword, value in trend.anchor_similarity.items():
-                writer.writerow([industry, keyword, trend.anchor, f"{value:.6f}"])
+    rows = (
+        [industry, keyword, trend.anchor, f"{value:.6f}"]
+        for industry, trend in sorted(report.industries.items())
+        if trend.anchor is not None
+        for keyword, value in trend.anchor_similarity.items()
+    )
+    _write_csv(path, ["industry", "keyword", "anchor", "cosine"], rows)
 
 
 def write_report_files(report: TrendReport, out_dir: Path) -> list[Path]:
@@ -385,37 +373,29 @@ def plot_projection(path: str | Path, out_dir: str | Path) -> list[Path]:
 
     Plots read the 6-decimal coordinates the CSV holds, so the pipeline
     and a staged ``plot`` write the same bytes.  A header-only file plots
-    nothing; a malformed header or row, or a coordinate that is not finite,
-    fails with ``path:line``, and two industries whose names map to one plot
-    file fail before any is written.
+    nothing; a malformed header or row, a coordinate that is not finite or a
+    keyword repeated in an industry fails with ``path:line``, and two industries
+    whose names map to one plot file fail before any is written.
     """
     by_industry: dict[str, tuple[list[ProjectedPoint], dict[str, int]]] = {}
-    with open(path, "rb") as fh:  # decoded per line, so a bad byte fails naming its line
-        reader = csv.reader(_text_lines(fh, path))
-        header = next(reader, None)
-        if header != ["industry", "keyword", "x", "y", "cluster_id"]:
-            raise ValueError(f"{path}:1: expected header industry,keyword,x,y,cluster_id")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 5:
-                raise ValueError(f"{where}: expected 5 fields, got {len(row)}")
-            industry, keyword, x, y, cluster_id = row
-            try:
-                xy, label = (float(x), float(y)), int(cluster_id)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
-                raise ValueError(f"{where}: coordinates ({x}, {y}) are not finite")
-            points, labels = by_industry.setdefault(industry, ([], {}))
-            points.append(ProjectedPoint(keyword, xy))
-            labels[keyword] = label
+    rows = _csv_table(path, ["industry", "keyword", "x", "y", "cluster_id"])
+    for where, (industry, keyword, x, y, cluster_id) in rows:
+        try:
+            xy, label = (float(x), float(y)), int(cluster_id)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
+            raise ValueError(f"{where}: coordinates ({x}, {y}) are not finite")
+        points, labels = by_industry.setdefault(industry, ([], {}))
+        if keyword in labels:
+            raise ValueError(f"{where}: repeated keyword {keyword!r} for industry {industry!r}")
+        points.append(ProjectedPoint(keyword, xy))
+        labels[keyword] = label
     plots: dict[str, str] = {}  # file name -> industry
     for industry in sorted(by_industry):
         name = f"scatter_{_safe_name(industry)}.svg"
         if name in plots:
-            raise ValueError(
-                f"{path}: industries {plots[name]!r} and {industry!r} would both plot to {name}"
-            )
+            raise ValueError(f"{path}: industries {plots[name]!r} and {industry!r} would both plot to {name}")
         plots[name] = industry
     written = []
     for name, industry in plots.items():

@@ -1,7 +1,8 @@
-"""Tokenization and two-tier stopword filtering for patent abstracts."""
+"""Tokenization and stopword filtering, and the one reader and writer of each JSONL and CSV file shape."""
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 import sys
@@ -45,6 +46,58 @@ def _text_lines(fh, path, error=ValueError):
             yield line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise error(f"{path}:{lineno}: {exc}") from None
+
+
+def _json_lines(path, error=ValueError):
+    """Each non-blank line of JSONL file ``path`` as ``(path:line, value)``; lines end at LF only (a
+    lone CR is JSON whitespace), and a bad byte, bad JSON or a repeated key fails as ``error`` there."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            if not raw.strip():
+                continue
+            try:
+                value = json.loads(raw.decode("utf-8"), object_pairs_hook=_json_object)
+            except ValueError as exc:
+                raise error(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            yield f"{path}:{lineno}", value
+
+
+def _write_json_lines(path, records) -> None:
+    """Write each of ``records`` to ``path`` as one line of UTF-8 JSON, non-ASCII characters unescaped."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+
+
+def _csv_rows(path, error=ValueError):
+    """Each row of strict RFC-4180 CSV file ``path``, header included, as ``(path:line, row)`` at the
+    row's last line; a bad byte, an unterminated quote or an over-long field fails as ``error`` there."""
+    with open(path, "rb") as fh:
+        reader = csv.reader(_text_lines(fh, path, error), strict=True)
+        try:
+            for row in reader:
+                yield f"{path}:{reader.line_num}", row
+        except csv.Error as exc:
+            raise error(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _csv_table(path, header: Sequence[str]):
+    """The rows after ``header`` of CSV file ``path`` as ``(path:line, row)``;
+    another first row, or a row of another length, fails naming its line."""
+    rows = _csv_rows(path)
+    if next(rows, (None, None))[1] != list(header):
+        raise ValueError(f"{path}:1: expected header {','.join(header)}")
+    for where, row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        yield where, row
+
+
+def _write_csv(path, header: Sequence[str], rows) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as UTF-8 CSV in the csv module's default dialect."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def tokenize(text: str) -> list[str]:
@@ -130,9 +183,7 @@ def load_base_stopwords() -> StopwordList:
 
 def save_token_streams(streams: Sequence[TokenStream], path: str | Path) -> None:
     """Write streams as JSONL records {"id": ..., "tokens": [...]}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for stream in streams:
-            fh.write(json.dumps({"id": stream.doc_id, "tokens": list(stream.tokens)}, ensure_ascii=False) + "\n")
+    _write_json_lines(path, ({"id": s.doc_id, "tokens": list(s.tokens)} for s in streams))
 
 
 def load_token_streams(path: str | Path) -> list[TokenStream]:
@@ -141,26 +192,19 @@ def load_token_streams(path: str | Path) -> list[TokenStream]:
     alphanumeric, the rule of StopwordList entries), fails with ``path:line``."""
     streams: list[TokenStream] = []
     seen: set[str] = set()
-    with open(path, "rb") as fh:  # decoded per line, so a bad byte fails naming its line
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw.decode("utf-8"), object_pairs_hook=_json_object)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(record, dict) or set(record) != {"id", "tokens"}:
-                raise ValueError(f"{path}:{lineno}: expected keys 'id' and 'tokens'")
-            doc_id, tokens = record["id"], record["tokens"]
-            if not isinstance(doc_id, str) or not doc_id:
-                raise ValueError(f"{path}:{lineno}: 'id' must be a non-empty string")
-            if doc_id in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate id {doc_id!r}")
-            seen.add(doc_id)
-            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-                raise ValueError(f"{path}:{lineno}: 'tokens' must be a list of strings")
-            bad = next((t for t in tokens if not (t.isalnum() and t == t.lower())), None)
-            if bad is not None:
-                raise ValueError(f"{path}:{lineno}: token {bad!r} is not lowercase alphanumeric")
-            streams.append(TokenStream(doc_id, tuple(map(sys.intern, tokens))))
+    for where, record in _json_lines(path):
+        if not isinstance(record, dict) or set(record) != {"id", "tokens"}:
+            raise ValueError(f"{where}: expected keys 'id' and 'tokens'")
+        doc_id, tokens = record["id"], record["tokens"]
+        if not isinstance(doc_id, str) or not doc_id:
+            raise ValueError(f"{where}: 'id' must be a non-empty string")
+        if doc_id in seen:
+            raise ValueError(f"{where}: duplicate id {doc_id!r}")
+        seen.add(doc_id)
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ValueError(f"{where}: 'tokens' must be a list of strings")
+        bad = next((t for t in tokens if not (t.isalnum() and t == t.lower())), None)
+        if bad is not None:
+            raise ValueError(f"{where}: token {bad!r} is not lowercase alphanumeric")
+        streams.append(TokenStream(doc_id, tuple(map(sys.intern, tokens))))
     return streams

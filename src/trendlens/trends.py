@@ -4,7 +4,6 @@ threshold clustering."""
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .keywords import Embedder, ExtractionResult, extract_keywords
-from .textprep import TokenStream
+from .textprep import TokenStream, _write_csv
 
 __all__ = [
     "KeywordFrequencyTable",
@@ -101,10 +100,7 @@ def generate_stopword_candidates(
 
 
 def save_candidates(candidates: Sequence[tuple[str, int]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["keyword", "doc_frequency"])
-        writer.writerows(candidates)
+    _write_csv(path, ["keyword", "doc_frequency"], candidates)
 
 
 @dataclass(frozen=True)

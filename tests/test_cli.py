@@ -156,6 +156,31 @@ class TestQuerySubcommand:
         assert main(["query", "--input", str(corpus), "--query-file", str(qfile), "--out", str(out)]) == EXIT_OK
         assert len(out.read_text().splitlines()) == 4
 
+    @pytest.mark.parametrize("command", ["query", "pipeline"])
+    def test_query_file_bad_byte_names_line(self, tmp_path, caplog, command):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus)
+        qfile = tmp_path / "q.txt"
+        qfile.write_bytes(b"alpha0\r\nOR \xffalpha1\n")
+        out = tmp_path / "out"
+        argv = ["--input", str(corpus), "--out", str(out)] if command == "query" else [
+            "--corpus", str(corpus), "--out-dir", str(out), "--epochs", "0"]
+        assert main([command, "--query-file", str(qfile), *argv]) == EXIT_FAILURE
+        assert f"{qfile}:2: 'utf-8' codec can't decode byte 0xff in position 3" in caplog.text
+        assert not out.exists()
+
+    def test_query_file_keeps_its_text(self, tmp_path):
+        # line ends read as "\n", the whole text stripped, as a text-mode read gives it
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus)
+        qfile = tmp_path / "q.txt"
+        qfile.write_bytes(b" alpha0\r\nOR\ralpha1 \r\n\n")
+        out_dir = tmp_path / "run"
+        argv = ["pipeline", "--corpus", str(corpus), "--query-file", str(qfile), "--out-dir", str(out_dir),
+                "--epochs", "0", "--min-count", "1"]
+        assert main(argv) == EXIT_CURATION
+        assert json.loads((out_dir / "config.resolved").read_text())["query"] == "alpha0\nOR\nalpha1"
+
     def test_bad_query_is_failure(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus)
@@ -435,6 +460,19 @@ class TestPlotSubcommand:
             assert main(["plot", "--projection", str(projection), "--out-dir", str(out_dir)]) == EXIT_FAILURE
             assert f"{projection}:{line}:" in caplog.text, text
             assert not out_dir.exists(), text
+
+    @pytest.mark.parametrize("row, line, error", [
+        ('medical,"dose,0.1,0.2,0\nmedical,drug,0.3,0.4,1', 4, "unexpected end of data"),
+        ("medical,dose,0.1,0.2," + "1" * 140_000, 3, "field larger than field limit (131072)"),
+        ("medical,drug,0.3,0.4,1", 3, "repeated keyword 'drug' for industry 'medical'"),
+    ])
+    def test_strict_csv_and_repeated_keyword_name_line(self, tmp_path, caplog, row, line, error):
+        projection = tmp_path / "projection.csv"
+        projection.write_text(f"industry,keyword,x,y,cluster_id\nmedical,drug,0.1,0.2,0\n{row}\n")
+        out_dir = tmp_path / "plots"
+        assert main(["plot", "--projection", str(projection), "--out-dir", str(out_dir)]) == EXIT_FAILURE
+        assert f"{projection}:{line}: {error}" in caplog.text
+        assert not out_dir.exists()
 
     def test_colliding_plot_names_fail_before_any_plot(self, tmp_path, caplog):
         projection = tmp_path / "projection.csv"

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from trendlens.cli import EXIT_FAILURE, main
 from trendlens.corpus import Corpus, CorpusError, PatentDocument, filter_corpus, load_corpus, save_corpus
 from trendlens.query import parse_query, eval_query
 
@@ -159,6 +160,22 @@ class TestLoadCsv:
         path.write_bytes(newline.join(rows).encode() + b"\n")
         docs = load_corpus(path).documents
         assert [(d.id, d.title) for d in docs] == [("P1", f"t1{newline}line two"), ("P2", "t2")]
+
+
+    def test_unterminated_quote_fails_at_end_of_data(self, tmp_path):
+        # a lenient reader took the rest of the file as one abstract and loaded one document
+        path = tmp_path / "q.csv"
+        path.write_text('id,industry,year,title,abstract\nd1,m,2018,t,"abc\nd2,m,2019,t,def\n')
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:3: unexpected end of data$"):
+            load_corpus(path)
+        assert main(["ingest", "--input", str(path)]) == EXIT_FAILURE
+
+    def test_over_long_field_names_line(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(f"id,industry,year,title,abstract\nd1,m,2018,t,a\nd2,m,2018,t,{'a' * 140_000}\n")
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:3: field larger than field limit"):
+            load_corpus(path)
+        assert main(["ingest", "--input", str(path)]) == EXIT_FAILURE
 
 
 class TestSaveRoundTrip:

@@ -25,3 +25,29 @@ def test_export_lists_resolve_and_cover_the_package_namespace():
         exported = modules[node.module].__all__
         unexported = [alias.name for alias in node.names if alias.name not in exported]
         assert not unexported, f"trendlens imports {unexported} not in trendlens.{node.module}.__all__"
+
+
+def test_only_textprep_parses_or_writes_csv_and_jsonl():
+    """How a line of a JSONL or CSV file is decoded, parsed and named in an
+    error is decided in ``textprep`` alone: no other module builds a csv
+    reader or writer or parses JSON, except ``resolve_config``, which parses
+    a whole config file at once."""
+    banned = {("csv", name) for name in ("reader", "writer", "DictReader", "DictWriter")}
+    banned |= {("json", "load"), ("json", "loads")}
+    found = []
+    for source in sorted(Path(trendlens.__file__).parent.glob("*.py")):
+        if source.name == "textprep.py":
+            continue
+        for top in ast.parse(source.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module in ("csv", "json"):
+                    names = {(node.module, alias.name) for alias in node.names}
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and isinstance(node.func.value, ast.Name)):
+                    names = {(node.func.value.id, node.func.attr)}
+                else:
+                    continue
+                exempt = getattr(top, "name", None) == "resolve_config" and names == {("json", "loads")}
+                if names & banned and not exempt:
+                    found.append(f"{source.name}:{node.lineno}: {', '.join('.'.join(n) for n in names & banned)}")
+    assert not found, found

@@ -410,3 +410,16 @@ class TestExtractionCsv:
         line = 3 + row.count("\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {error}")):
             load_extractions(path)
+
+    @pytest.mark.parametrize("row, error", [
+        ('D2,1,"beta,0.4\nD3,1,gamma,0.3', "unexpected end of data"),
+        ("D2,1,beta," + "1" * 140_000, "field larger than field limit (131072)"),
+    ])
+    def test_strict_csv_names_path_and_line(self, tmp_path, row, error):
+        """An unterminated quote fails at the end of the file, not by
+        swallowing later rows; an over-long field fails on its line."""
+        path = tmp_path / "k.csv"
+        path.write_text(f"doc_id,rank,keyword,score\nD1,1,alpha,0.5\n{row}\n")
+        line = 3 + row.count("\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {error}")):
+            load_extractions(path)
