@@ -39,6 +39,8 @@ class PatentDocument:
     def __post_init__(self):
         if not self.id:
             raise ValueError("document id must be non-empty")
+        if not self.industry:
+            raise ValueError(f"document {self.id!r}: industry must be non-empty")
         if not self.abstract:
             raise ValueError(f"document {self.id!r}: abstract must be non-empty")
         if not isinstance(self.year, int) or isinstance(self.year, bool):
@@ -124,9 +126,9 @@ def _csv_records(path: Path):
     """Each non-blank row of a corpus CSV as ``(path:line, record)``; the
     header names the fields in any order."""
     rows = _csv_rows(path, CorpusError)
-    header = next(rows, (None, _FIELDS))[1]
+    where, header = next(rows, (f"{path}:1", _FIELDS))
     if set(header) != set(_FIELDS) or len(header) != len(_FIELDS):
-        raise CorpusError(f"{path}:1: header must contain exactly the columns {', '.join(_FIELDS)}")
+        raise CorpusError(f"{where}: header must contain exactly the columns {', '.join(_FIELDS)}")
     for where, row in rows:
         if not row:
             continue

@@ -373,13 +373,15 @@ def plot_projection(path: str | Path, out_dir: str | Path) -> list[Path]:
 
     Plots read the 6-decimal coordinates the CSV holds, so the pipeline
     and a staged ``plot`` write the same bytes.  A header-only file plots
-    nothing; a malformed header or row, a coordinate that is not finite or a
-    keyword repeated in an industry fails with ``path:line``, and two industries
-    whose names map to one plot file fail before any is written.
+    nothing; a malformed header or row, an empty industry or keyword, a non-finite
+    coordinate or a keyword repeated in an industry fails with ``path:line``, and
+    two industries whose names map to one plot file fail before any is written.
     """
     by_industry: dict[str, tuple[list[ProjectedPoint], dict[str, int]]] = {}
     rows = _csv_table(path, ["industry", "keyword", "x", "y", "cluster_id"])
     for where, (industry, keyword, x, y, cluster_id) in rows:
+        if not industry or not keyword:
+            raise ValueError(f"{where}: empty {'industry' if not industry else 'keyword'}")
         try:
             xy, label = (float(x), float(y)), int(cluster_id)
         except ValueError as exc:

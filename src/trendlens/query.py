@@ -20,6 +20,7 @@ does not match "cybersecurity".
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -79,139 +80,45 @@ QueryExpr = Union[Phrase, And, Or]
 
 
 class _Token(NamedTuple):
-    kind: str  # "(", ")", ",", "word", "phrase"
-    text: str
+    kind: str  # "(", ")", ",", "and", "or", "phrase" (quoted), "word" (bare) or "end"
     pos: int
+    text: str = ""
     wildcard: bool = False
 
 
+# one lexeme: a structural character, a quoted phrase (to the end of the source
+# when no quote closes it), or a bare word; what lies between them is whitespace
+_LEXEME = re.compile(r"[(),]|'[^']*'?|[^\s(),']+")
+
+
 def _lex(source: str) -> list[_Token]:
+    """The tokens of ``source``, then an end token at ``len(source)``.
+
+    A quoted phrase and a bare word follow one term rule: the text inside
+    loses its surrounding whitespace and one trailing ``*``, which marks a
+    wildcard; it must then hold no ``*`` and not be empty.
+    """
     tokens: list[_Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
+    for match in _LEXEME.finditer(source):
+        lexeme, pos = match.group(), match.start()
+        if lexeme in ("(", ")", ","):
+            tokens.append(_Token(lexeme, pos))
             continue
-        if ch in "(),":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch == "'":
-            end = source.find("'", i + 1)
-            if end < 0:
-                raise QueryParseError("unterminated quoted phrase", i)
-            text = source[i + 1 : end].strip()
-            wildcard = text.endswith("*")
-            if wildcard:
-                text = text[:-1].rstrip()
-            if "*" in text:
-                raise QueryParseError(
-                    "wildcard '*' allowed only at the end of a phrase", i + 1 + source[i + 1 : end].index("*")
-                )
-            if not text:
-                raise QueryParseError("empty term", i)
-            tokens.append(_Token("phrase", text, i, wildcard))
-            i = end + 1
-            continue
-        # bare word: runs until whitespace or a structural character
-        start = i
-        while i < n and not source[i].isspace() and source[i] not in "(),'":
-            i += 1
-        word = source[start:i]
-        wildcard = word.endswith("*")
+        if lexeme.count("'") == 1:  # no quote closes it
+            raise QueryParseError("unterminated quoted phrase", pos)
+        quoted = lexeme[0] == "'"
+        body, start = (lexeme[1:-1], pos + 1) if quoted else (lexeme, pos)
+        text = body.strip()
+        wildcard = text.endswith("*")
         if wildcard:
-            word = word[:-1]
-        if "*" in word:
-            raise QueryParseError(
-                "wildcard '*' allowed only at the end of a phrase", start + word.index("*")
-            )
-        if not word and wildcard:
-            raise QueryParseError("empty term", start)
-        tokens.append(_Token("word", word, start, wildcard))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = _lex(source)
-        self.i = 0
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def _is_operator(self, tok: _Token | None, name: str) -> bool:
-        return tok is not None and tok.kind == "word" and tok.text.lower() == name
-
-    def parse(self) -> QueryExpr:
-        expr = self.parse_or()
-        tok = self.peek()
-        if tok is not None:
-            if tok.kind == ")":
-                raise QueryParseError("unbalanced parentheses", tok.pos)
-            raise QueryParseError("expected AND or OR between terms", tok.pos)
-        return expr
-
-    def parse_or(self) -> QueryExpr:
-        expr = self.parse_and()
-        while True:
-            tok = self.peek()
-            if tok is not None and (tok.kind == "," or self._is_operator(tok, "or")):
-                self.next()
-                expr = Or(expr, self.parse_and())
-            else:
-                return expr
-
-    def parse_and(self) -> QueryExpr:
-        expr = self.parse_factor()
-        while self._is_operator(self.peek(), "and"):
-            self.next()
-            expr = And(expr, self.parse_factor())
-        return expr
-
-    def parse_factor(self) -> QueryExpr:
-        tok = self.peek()
-        if tok is None:
-            raise QueryParseError("dangling operator", len(self.source))
-        if tok.kind == "(":
-            self.next()
-            inner = self.parse_or()
-            closing = self.peek()
-            if closing is None or closing.kind != ")":
-                raise QueryParseError("unbalanced parentheses", tok.pos)
-            self.next()
-            return inner
-        if tok.kind == "phrase":
-            self.next()
-            return self._phrase(tok.text, tok.wildcard, tok.pos)
-        if tok.kind == "word" and tok.text.lower() not in _OPERATORS:
-            return self._parse_bare_phrase()
-        if tok.kind == "word":
-            raise QueryParseError("dangling operator", tok.pos)
-        raise QueryParseError("empty term", tok.pos)
-
-    def _parse_bare_phrase(self) -> QueryExpr:
-        words: list[_Token] = []
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "word" or tok.text.lower() in _OPERATORS:
-                break
-            if words and words[-1].wildcard:
-                raise QueryParseError("wildcard '*' allowed only at the end of a phrase", tok.pos)
-            words.append(self.next())
-        text = " ".join(w.text for w in words)
-        return self._phrase(text, words[-1].wildcard, words[0].pos)
-
-    def _phrase(self, text: str, wildcard: bool, pos: int) -> Phrase:
-        if not tokenize(text):
+            text = text[:-1].rstrip()
+        if "*" in text:
+            raise QueryParseError("wildcard '*' allowed only at the end of a phrase", start + body.index("*"))
+        if not text:
             raise QueryParseError("empty term", pos)
-        return Phrase(text.strip(), wildcard)
+        kind = "phrase" if quoted else text.lower() if text.lower() in _OPERATORS else "word"
+        tokens.append(_Token(kind, pos, text, wildcard))
+    return tokens + [_Token("end", len(source))]
 
 
 def parse_query(source: str) -> QueryExpr:
@@ -222,7 +129,49 @@ def parse_query(source: str) -> QueryExpr:
     """
     if not source.strip():
         raise QueryParseError("empty query", 0)
-    return _Parser(source).parse()
+    tokens, i = _lex(source), 0
+
+    def take() -> _Token:
+        nonlocal i
+        i += 1
+        return tokens[i - 1]
+
+    def expr() -> QueryExpr:
+        node = term()
+        while tokens[i].kind in (",", "or"):
+            take()
+            node = Or(node, term())
+        return node
+
+    def term() -> QueryExpr:
+        node = factor()
+        while tokens[i].kind == "and":
+            take()
+            node = And(node, factor())
+        return node
+
+    def factor() -> QueryExpr:
+        tok = take()
+        if tok.kind == "(":
+            node = expr()
+            if take().kind != ")":
+                raise QueryParseError("unbalanced parentheses", tok.pos)
+            return node
+        text, wildcard = tok.text, tok.wildcard
+        while tok.kind == "word" and tokens[i].kind == "word":  # a run of bare words is one phrase
+            if wildcard:
+                raise QueryParseError("wildcard '*' allowed only at the end of a phrase", tokens[i].pos)
+            text, wildcard = f"{text} {tokens[i].text}", tokens[i].wildcard
+            take()
+        if tok.kind in ("phrase", "word") and tokenize(text):
+            return Phrase(text, wildcard)
+        raise QueryParseError("dangling operator" if tok.kind in ("and", "or", "end") else "empty term", tok.pos)
+
+    node = expr()
+    if tokens[i].kind != "end":
+        message = "unbalanced parentheses" if tokens[i].kind == ")" else "expected AND or OR between terms"
+        raise QueryParseError(message, tokens[i].pos)
+    return node
 
 
 def serialize_query(expr: QueryExpr) -> str:

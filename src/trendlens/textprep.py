@@ -81,11 +81,12 @@ def _csv_rows(path, error=ValueError):
 
 
 def _csv_table(path, header: Sequence[str]):
-    """The rows after ``header`` of CSV file ``path`` as ``(path:line, row)``;
-    another first row, or a row of another length, fails naming its line."""
+    """The rows after ``header`` of CSV file ``path`` as ``(path:line, row)``; another first row, or a
+    row of another length, fails naming its last line (``path:1`` for an empty file)."""
     rows = _csv_rows(path)
-    if next(rows, (None, None))[1] != list(header):
-        raise ValueError(f"{path}:1: expected header {','.join(header)}")
+    where, first = next(rows, (f"{path}:1", None))
+    if first != list(header):
+        raise ValueError(f"{where}: expected header {','.join(header)}")
     for where, row in rows:
         if len(row) != len(header):
             raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")

@@ -54,6 +54,18 @@ class TestExitCodes:
     def test_stage_failure_is_1(self, tmp_path):
         assert main(["ingest", "--input", str(tmp_path / "missing.jsonl")]) == EXIT_FAILURE
 
+    def test_empty_industry_fails_at_its_line(self, tmp_path, caplog):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus)
+        lines = corpus.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace('"industry": "security"', '"industry": ""')
+        corpus.write_text("".join(lines))
+        out_dir = tmp_path / "out"
+        argv = ["pipeline", "--corpus", str(corpus), "--epochs", "0", "--min-count", "1", "--out-dir", str(out_dir)]
+        assert main(argv) == EXIT_FAILURE
+        assert f"{corpus}:2: document 'P1': industry must be non-empty" in caplog.text
+        assert not list(out_dir.rglob("scatter_*.svg"))
+
     def test_curation_required_is_2(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus)
@@ -181,13 +193,18 @@ class TestQuerySubcommand:
         assert main(argv) == EXIT_CURATION
         assert json.loads((out_dir / "config.resolved").read_text())["query"] == "alpha0\nOR\nalpha1"
 
-    def test_bad_query_is_failure(self, tmp_path):
+    def test_bad_query_is_failure(self, tmp_path, caplog):
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus)
         assert (
             main(["query", "--input", str(corpus), "--query", "(oops", "--out", str(tmp_path / "x")])
             == EXIT_FAILURE
         )
+        assert "unbalanced parentheses (at offset 0)" in caplog.text
+        caplog.clear()
+        argv = ["pipeline", "--corpus", str(corpus), "--query", "a AND", "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == EXIT_FAILURE
+        assert "stage 'query' failed: dangling operator (at offset 5)" in caplog.text
 
     def test_no_match_fails_as_in_pipeline(self, tmp_path, caplog):
         corpus = tmp_path / "c.jsonl"
@@ -446,6 +463,8 @@ class TestPlotSubcommand:
         header, good = "industry,keyword,x,y,cluster_id\n", "medical,drug,0.1,0.2,0\n"
         cases = [
             ("wrong,header\n", 1),
+            ("", 1),
+            ('"industry\nx",keyword,x,y,cluster_id\n' + good, 2),  # the header's quoted field spans two lines
             (header + good + "medical,dose,0.1,0.2\n", 3),  # a field short
             (header + good + "medical,dose,zz,0.2,0\n", 3),  # non-numeric x
             (header + good + "medical,dose,0.1,0.2,1.5\n", 3),  # non-integer cluster id
@@ -465,6 +484,8 @@ class TestPlotSubcommand:
         ('medical,"dose,0.1,0.2,0\nmedical,drug,0.3,0.4,1', 4, "unexpected end of data"),
         ("medical,dose,0.1,0.2," + "1" * 140_000, 3, "field larger than field limit (131072)"),
         ("medical,drug,0.3,0.4,1", 3, "repeated keyword 'drug' for industry 'medical'"),
+        (",,0.1,0.2,0", 3, "empty industry"),
+        ("medical,,0.1,0.2,0", 3, "empty keyword"),
     ])
     def test_strict_csv_and_repeated_keyword_name_line(self, tmp_path, caplog, row, line, error):
         projection = tmp_path / "projection.csv"

@@ -123,11 +123,16 @@ class TestLoadCsv:
         path.write_text("id,industry,year,title,abstract\nP1,m,2018,t,a\n")
         assert len(load_corpus(path)) == 1
 
-    def test_wrong_header(self, tmp_path):
+    @pytest.mark.parametrize("text, line", [
+        ("id,industry,year,title\nP1,m,2018,t\n", 1),
+        ('"id\nx",industry,year,title,abstract\nP1,m,2018,t,a\n', 2),  # a quoted field spans two lines
+    ])
+    def test_wrong_header(self, tmp_path, text, line):
         path = tmp_path / "c.csv"
-        path.write_text("id,industry,year,title\nP1,m,2018,t\n")
-        with pytest.raises(CorpusError, match="header"):
+        path.write_text(text)
+        with pytest.raises(CorpusError, match="header") as err:
             load_corpus(path, "csv")
+        assert str(err.value).startswith(f"{path}:{line}: header")
 
     def test_non_integer_year(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -250,5 +255,7 @@ class TestTypes:
             PatentDocument("", "m", 2018, "", "a")
         with pytest.raises(ValueError):
             PatentDocument("X", "m", 2018, "", "")
+        with pytest.raises(ValueError, match="^document 'X': industry must be non-empty$"):
+            PatentDocument("X", "", 2018, "", "a")
         with pytest.raises(ValueError):
             PatentDocument("X", "m", 2101, "", "a")

@@ -71,7 +71,7 @@ def check(path: Path, outcome: Outcome, load, expect, error: type, argv: list, e
 
 _BAD_JSON = {
     "id": [5, None, "", ["P"]],
-    "industry": [None, 5],
+    "industry": [None, 5, ""],
     "title": [None, 7],
     "year": ["soon", 2018.5, True, None, "", 1800],
     "abstract": ["", 5, None],
@@ -247,7 +247,7 @@ class TestCorpusCsvFuzz:
         docs = _documents(draws)
         table = [_CORPUS_FIELDS] + [[getattr(d, f) if f != "year" else str(d.year) for f in _CORPUS_FIELDS]
                                     for d in docs]
-        bad = {"id": [""], "year": ["soon", "2018.5", "", "1800", "2101", "true"], "abstract": [""]}
+        bad = {"id": [""], "industry": [""], "year": ["soon", "2018.5", "", "1800", "2101", "true"], "abstract": [""]}
         outcome = mutate_csv(table, data.draw, bad, ["year"])
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "c.csv"
@@ -310,7 +310,8 @@ class TestProjectionCsvFuzz:
         rows = [[industry, k, data.draw(coordinate), data.draw(coordinate), str(data.draw(st.integers(0, 3)))]
                 for industry, kws in keywords.items() for k in kws]
         table = [["industry", "keyword", "x", "y", "cluster_id"]] + rows
-        bad = {"x": ["abc", "", "1..2"], "y": ["abc", ""], "cluster_id": ["x", "1.5", "", "nan"]}
+        bad = {"industry": [""], "keyword": [""], "x": ["abc", "", "1..2"], "y": ["abc", ""],
+               "cluster_id": ["x", "1.5", "", "nan"]}
         outcome = mutate_csv(table, data.draw, bad, ["x", "y"])
 
         def drawn(rows):  # by industry, then in file order

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from trendlens.corpus import PatentDocument
 from trendlens.query import (
@@ -78,6 +78,9 @@ class TestParse:
         assert isinstance(node, Or)
 
 
+_WILDCARD = "wildcard '*' allowed only at the end of a phrase"
+
+
 class TestParseErrors:
     @pytest.mark.parametrize(
         "source",
@@ -105,6 +108,41 @@ class TestParseErrors:
     def test_missing_operator_between_terms(self):
         with pytest.raises(QueryParseError):
             parse_query("a (b)")
+
+    @pytest.mark.parametrize(
+        "source, message, position",
+        [
+            ("", "empty query", 0),
+            ("   ", "empty query", 0),
+            ("'unclosed", "unterminated quoted phrase", 0),
+            ("a OR 'b", "unterminated quoted phrase", 5),
+            ("''", "empty term", 0),
+            ("()", "empty term", 1),
+            ("'-'", "empty term", 0),
+            ("*", "empty term", 0),
+            ("a OR ,b", "empty term", 5),
+            ("'mid*dle'", _WILDCARD, 4),
+            ("de*ep", _WILDCARD, 2),
+            ("a* b", _WILDCARD, 3),
+            ("deep learn* method", _WILDCARD, 12),
+            ("OR a", "dangling operator", 0),
+            ("a AND OR b", "dangling operator", 6),
+            ("a AND", "dangling operator", 5),
+            ("a OR", "dangling operator", 4),
+            ("(a OR b", "unbalanced parentheses", 0),
+            ("aa AND (bb OR cc", "unbalanced parentheses", 7),
+            ("a)", "unbalanced parentheses", 1),
+            ("(a))", "unbalanced parentheses", 3),
+            ("a (b)", "expected AND or OR between terms", 2),
+            ("'a' b", "expected AND or OR between terms", 4),
+            ("a 'b'", "expected AND or OR between terms", 2),
+        ],
+    )
+    def test_error_message_and_offset(self, source, message, position):
+        with pytest.raises(QueryParseError) as err:
+            parse_query(source)
+        assert str(err.value) == f"{message} (at offset {position})"
+        assert err.value.position == position
 
 
 class TestEval:
@@ -206,3 +244,19 @@ def test_eval_case_insensitive(tree, document):
         document.id, document.industry, document.year, document.title.upper(), document.abstract.upper()
     )
     assert eval_query(tree, document) == eval_query(tree, upper)
+
+
+# structural characters, whitespace (a no-break space included), operators,
+# words and punctuation: the pieces a query is made of, in any order
+_QUERY_PIECES = ["(", ")", ",", "'", "*", " ", "\t", "\xa0", "AND", "and", "Or", "alpha", "Deep", "x", "-", "!", "é"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_QUERY_PIECES), max_size=12).map("".join) | st.text("(),'* \xa0aAnNdDoOrR-!", max_size=12))
+def test_any_string_parses_or_fails_at_an_offset(source):
+    try:
+        tree = parse_query(source)
+    except QueryParseError as exc:
+        assert 0 <= exc.position <= len(source)
+    else:
+        assert parse_query(serialize_query(tree)) == tree
