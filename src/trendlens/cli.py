@@ -27,8 +27,8 @@ from .pipeline import (
     PipelineConfig,
     _candidates,
     _check,
+    _analysis_words,
     _extract,
-    _lookups,
     _prep_streams,
     _query,
     _train_config,
@@ -174,10 +174,11 @@ def cmd_extract(args) -> int:
     if not (args.model or (args.doc_vectors and args.word_vectors)):
         raise ValueError("--model or both --doc-vectors and --word-vectors are required")
     streams = _input_streams(args)
+    tokens = {t for s in streams for t in s.tokens}
     if args.model:
-        embedder = ReferenceEmbedder(load_model(args.model, {t for s in streams for t in s.tokens}))
+        embedder = ReferenceEmbedder(load_model(args.model, tokens))
     else:
-        embedder = FileEmbedder.from_files(args.doc_vectors, args.word_vectors)
+        embedder = FileEmbedder.from_files(args.doc_vectors, args.word_vectors, tokens)
     _extract(streams, embedder, args.top_n, args.out)
     return EXIT_OK
 
@@ -196,8 +197,7 @@ def cmd_analyze(args) -> int:
     anchors = _parse_anchor_flags(args.anchor)
     corpus = load_corpus(args.corpus, args.format)
     results = load_extractions(args.keywords)
-    keywords = (ks.keyword for r in results for ks in r.keywords)
-    model = load_model(args.model, _lookups(keywords, corpus, anchors))
+    model = load_model(args.model, _analysis_words(results, corpus, args.top_percent, anchors))
     report = analyze_extractions(
         results,
         corpus,

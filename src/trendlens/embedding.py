@@ -72,6 +72,7 @@ _NEGATIVE_POWER = 0.75
 _CHUNK_PAIRS = 1024
 _FULL_SOFTMAX_CAP = 20_000
 _MAX_PAIRS = np.iinfo(np.int32).max  # each epoch's shuffle indexes the pairs as int32
+_SPARE_ROWS = 64  # dropped rows a partial load parses before checking them together
 
 log = logging.getLogger(__name__)
 
@@ -441,18 +442,27 @@ def _read_header(lines, path, magic: str, names: tuple[str, ...]) -> list[int]:
         raise ModelFormatError(f"{path}: bad header ({', '.join(names)} must be integers)") from None
 
 
+def _first_non_finite(rows: np.ndarray) -> int | None:
+    """The index of the first row of ``rows`` holding a nan or inf, or None."""
+    if not rows.size or (np.isfinite(rows.min()) and np.isfinite(rows.max())):  # nan and inf reach min or max
+        return None
+    return int(np.isfinite(rows).all(axis=1).argmin())
+
+
 def _read_rows(lines, n_rows, dim, path, block, what, keep=None):
     """The next ``n_rows`` non-blank ``lines`` as labelled rows of ``dim``
     finite floats; ``block`` and ``what`` name the block and the label kind
     in errors.  Assigning the strings to a float64 row parses them exactly
     as float() does.  Returns every label in file order, then the labels and
     matrix of the rows kept: all, or those labelled in the set ``keep``.
-    Every row is checked, a dropped one in the next free row; a non-finite
-    value fails after the loop, so a later row's syntax error comes first."""
+    Every row is checked, a dropped one in a small scratch block that is
+    checked whenever it fills; a non-finite value fails after the loop, so a
+    later row's syntax error comes first."""
     labels, kept, seen = [], [], set()
-    matrix = np.empty((n_rows if keep is None else min(n_rows, len(keep) + 1), dim))
-    bad = None  # (kept rows before it, label) of the first dropped row holding a nan or inf
-    for _ in range(n_rows):
+    matrix = np.empty((n_rows if keep is None else min(n_rows, len(keep)), dim))
+    spare = np.empty((0 if keep is None else min(n_rows, _SPARE_ROWS), dim))
+    dropped, bad = [], []  # the labels of the rows in spare; of rows found non-finite
+    for n in range(n_rows):
         try:
             label, *values = next(lines).split()
         except StopIteration:
@@ -464,21 +474,22 @@ def _read_rows(lines, n_rows, dim, path, block, what, keep=None):
             raise ModelFormatError(
                 f"{path}: {what} {label!r}: expected {dim} values, got {len(values)}"
             )
+        rows, taken = (matrix, kept) if keep is None or label in keep else (spare, dropped)
         try:
-            matrix[len(kept)] = values
+            rows[len(taken)] = values
         except ValueError:
             raise ModelFormatError(f"{path}: {what} {label!r}: malformed float") from None
         labels.append(label)
-        if keep is None or label in keep:
-            kept.append(label)
-        elif bad is None and not np.isfinite(matrix[len(kept)]).all():  # before the next row overwrites it
-            bad = (len(kept), label)
+        taken.append(label)
+        if dropped and (len(dropped) == len(spare) or n == n_rows - 1):
+            if (row := _first_non_finite(spare[:len(dropped)])) is not None:
+                bad.append(dropped[row])
+            dropped.clear()
     matrix = matrix[:len(kept)]
-    if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):  # nan and inf reach min or max
-        row = int(np.isfinite(matrix).all(axis=1).argmin())
-        bad = bad if bad and bad[0] <= row else (row, kept[row])
-    if bad is not None:  # the first non-finite row in file order, kept or dropped
-        raise ModelFormatError(f"{path}: {what} {bad[1]!r}: non-finite value")
+    if (row := _first_non_finite(matrix)) is not None:
+        bad.append(kept[row])
+    if bad:  # the first non-finite row in file order, kept or dropped
+        raise ModelFormatError(f"{path}: {what} {min(bad, key=labels.index)!r}: non-finite value")
     return labels, kept, matrix
 
 
@@ -505,6 +516,17 @@ def load_model(path: str | Path, words: Collection[str] | None = None) -> Embedd
         if trailer is not None:
             raise ModelFormatError(f"{path}: unexpected extra line {trailer.strip()!r}")
     return EmbeddingModel(Vocabulary(tuple(kept)), input_vectors, output_vectors, seed, file_words=V)
+
+
+def _keep_rows(model: EmbeddingModel, words: Collection[str]) -> EmbeddingModel:
+    """A copy of ``model`` holding only the rows of ``words``, as
+    ``load_model(path, words)`` keeps them: in vocabulary order, with
+    read-only zero output rows and the word count of the model it came from."""
+    rows = sorted(model.vocab.index[w] for w in words if w in model.vocab)
+    vectors = model.input_vectors[rows]
+    return EmbeddingModel(Vocabulary(tuple(model.vocab.words[i] for i in rows)), vectors,
+                          np.broadcast_to(np.float64(0.0), vectors.shape), model.seed,
+                          file_words=model.file_words or len(model.vocab))
 
 
 def save_document_vectors(vectors: Mapping[str, np.ndarray], path: str | Path) -> None:

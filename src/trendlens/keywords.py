@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Collection, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -89,7 +89,8 @@ class FileEmbedder(ReferenceEmbedder):
 
     Word vectors come from a model file and are looked up as
     :class:`ReferenceEmbedder` does; document vectors are keyed by doc id,
-    and an unknown doc id has none.
+    and an unknown doc id has none.  With the set ``words``, only their rows
+    of the word-vector file are kept, as ``load_model(path, words)`` keeps them.
     """
 
     def __init__(self, model: EmbeddingModel, doc_vectors: Mapping[str, np.ndarray]):
@@ -97,9 +98,10 @@ class FileEmbedder(ReferenceEmbedder):
         self._docs = doc_vectors
 
     @classmethod
-    def from_files(cls, doc_vectors_path: str | Path, word_vectors_path: str | Path) -> "FileEmbedder":
+    def from_files(cls, doc_vectors_path: str | Path, word_vectors_path: str | Path,
+                   words: Collection[str] | None = None) -> "FileEmbedder":
         docs, doc_dim = load_document_vectors(doc_vectors_path)
-        model = load_model(word_vectors_path)
+        model = load_model(word_vectors_path, words)
         if doc_dim != model.dim:
             raise ModelFormatError(
                 f"dimension mismatch: document vectors are {doc_dim}-d, word vectors are {model.dim}-d"

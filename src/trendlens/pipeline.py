@@ -20,7 +20,9 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .corpus import Corpus, load_corpus, filter_corpus
-from .embedding import TRAIN_RANGES, EmbeddingModel, TrainConfig, cosine_similarity, load_model, save_model, train
+from .embedding import (
+    TRAIN_RANGES, EmbeddingModel, TrainConfig, _keep_rows, cosine_similarity, load_model, save_model, train
+)
 from .keywords import Embedder, ExtractionResult, ReferenceEmbedder, extract_keywords, save_extractions
 from .query import parse_query
 from .svgplot import emit_scatter_svg
@@ -39,6 +41,7 @@ from .trends import (
     DEFAULT_TOP_K,
     DEFAULT_TOP_N,
     ClusterAssignment,
+    KeywordFrequencyTable,
     ProjectedPoint,
     aggregate_keywords,
     cluster_points,
@@ -419,6 +422,23 @@ def _lookups(tokens: Iterable[str], corpus: Corpus, anchors: dict[str, str] | No
     return {*tokens, *filter(None, (_anchor(i, anchors or {}) for i in corpus.industries))}
 
 
+def _selections(
+    results: list[ExtractionResult], corpus: Corpus, top_percent: float
+) -> tuple[dict[str, KeywordFrequencyTable], dict[str, list[str]]]:
+    """Each industry's keyword table, and the top-percent keywords of each
+    industry that has any: one selection rule for the analysis and the words it looks up."""
+    tables = aggregate_keywords(results, corpus)
+    return tables, {i: select_top_percent(t, top_percent) for i, t in tables.items() if t.counts}
+
+
+def _analysis_words(
+    results: list[ExtractionResult], corpus: Corpus, top_percent: float, anchors: dict[str, str] | None
+) -> set[str]:
+    """The words :func:`analyze_extractions` looks up: the selected keywords and the anchors."""
+    _, selections = _selections(results, corpus, top_percent)
+    return _lookups((k for selected in selections.values() for k in selected), corpus, anchors)
+
+
 def analyze_extractions(
     results: list[ExtractionResult],
     corpus: Corpus,
@@ -435,14 +455,14 @@ def analyze_extractions(
     industry.
     """
     anchors = anchors or {}
-    tables = aggregate_keywords(results, corpus)
+    tables, selections = _selections(results, corpus, top_percent)
     industries: dict[str, IndustryTrend] = {}
     for industry in corpus.industries:
         table = tables[industry]
-        if not table.counts:
+        if industry not in selections:
             log.warning("industry %r has no extracted keywords; skipping", industry)
             continue
-        selected = select_top_percent(table, top_percent)
+        selected = selections[industry]
         missing = [k for k in selected if k not in model]
         if missing:
             raise ValueError(f"keyword {missing[0]!r} of industry {industry!r} is not in the model")
@@ -557,6 +577,9 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
         "extract", _extract, streams, ReferenceEmbedder(model), config.top_n, out_dir / "keywords.csv"
     )
 
+    # the rows the analysis reads, copied so the full matrix is freed before PCA
+    words = stage("analyze", _analysis_words, results, corpus, config.top_percent, config.anchors)
+    model = stage("analyze", _keep_rows, model, words)
     report = stage(
         "analyze",
         analyze_extractions,

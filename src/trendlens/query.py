@@ -9,7 +9,8 @@ Grammar (operators are case-insensitive, phrase text is case-preserving)::
 A quoted phrase is delimited by single quotes ('cyber security'); a bare
 phrase is one or more consecutive unquoted words (Artificial Neural
 Network).  The final token of either kind may end in ``*`` to request
-prefix matching on that token.  AND binds tighter than OR, and a comma
+prefix matching on that token; a bare ``or*`` or ``and*`` is such a word,
+not an operator.  AND binds tighter than OR, and a comma
 between groups reads as OR, so ('factory','supply chain') is the same as
 ('factory' OR 'supply chain').
 
@@ -116,7 +117,7 @@ def _lex(source: str) -> list[_Token]:
             raise QueryParseError("wildcard '*' allowed only at the end of a phrase", start + body.index("*"))
         if not text:
             raise QueryParseError("empty term", pos)
-        kind = "phrase" if quoted else text.lower() if text.lower() in _OPERATORS else "word"
+        kind = "phrase" if quoted else text.lower() if text.lower() in _OPERATORS and not wildcard else "word"
         tokens.append(_Token(kind, pos, text, wildcard))
     return tokens + [_Token("end", len(source))]
 

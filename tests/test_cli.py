@@ -6,10 +6,15 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trendlens.cli import EXIT_CURATION, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, build_parser, main
+from trendlens.corpus import load_corpus
+from trendlens.embedding import load_model
+from trendlens.keywords import save_document_vectors
 from trendlens.pipeline import PipelineConfig, resolve_config
+from trendlens.textprep import tokenize
 from trendlens.trends import generate_stopword_candidates
 
 FIXTURE = Path("src/trendlens/data/fixture").resolve()
@@ -371,6 +376,23 @@ class TestExtractSubcommand:
         assert main(argv) == EXIT_FAILURE
         assert f"{model}: word '{word}': non-finite value" in caplog.text
         assert not out.exists()
+
+    def test_word_vectors_keep_only_the_stream_tokens(self, tmp_path, monkeypatch):
+        corpus, model = self.setup_model(tmp_path)
+        few = tmp_path / "few.jsonl"
+        few.write_text("".join(corpus.read_text().splitlines(keepends=True)[:2]))
+        docs = tmp_path / "d.vec"
+        save_document_vectors({"P0": np.full(8, 0.5), "P1": np.full(8, -0.25)}, docs)
+        loaded = []
+        monkeypatch.setattr("trendlens.keywords.load_model", lambda *a: loaded.append(load_model(*a)) or loaded[-1])
+        argv = ["extract", "--input", str(few), "--doc-vectors", str(docs), "--word-vectors", str(model)]
+        assert main([*argv, "--out", str(tmp_path / "part.csv")]) == EXIT_OK
+        tokens = {t for doc in load_corpus(few) for t in tokenize(doc.abstract)}
+        assert set(loaded[0].vocab.words) == tokens & set(load_model(model).vocab.words)
+        assert len(loaded[0].vocab) < loaded[0].file_words
+        monkeypatch.setattr("trendlens.keywords.load_model", lambda path, words=None: load_model(path))
+        assert main([*argv, "--out", str(tmp_path / "whole.csv")]) == EXIT_OK
+        assert (tmp_path / "part.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_at_most_top_n_rows_per_doc(self, tmp_path):
         corpus, model = self.setup_model(tmp_path)

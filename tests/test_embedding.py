@@ -800,6 +800,25 @@ class TestPartialLoads:
                 load_model(path, words)
             assert str(part.value) == str(full.value), words
 
+    @pytest.mark.parametrize("bad_rows", [(0,), (63,), (64,), (130, 140), (140, 130), (149,), (5, 149)])
+    def test_the_first_non_finite_row_is_named_across_scratch_blocks(self, tmp_path, bad_rows):
+        """Dropped rows are checked a block at a time; the message still names
+        the first non-finite row in file order, whichever rows are kept."""
+        words = [f"w{i:03d}" for i in range(150)]
+        rows = [f"{w} {i}.5 -{i}.25" for i, w in enumerate(words)]
+        for i, value in zip(bad_rows, ("nan", "inf")):
+            rows[i] = f"{words[i]} 1.0 {value}"
+        path = tmp_path / "m.w2v"
+        path.write_text("trendlens-w2v 1 150 2 7\n" + "\n".join(rows) + "\n")
+        error = f"{path}: word {words[min(bad_rows)]!r}: non-finite value"
+        with pytest.raises(ModelFormatError) as full:
+            load_model(path)
+        assert str(full.value) == error
+        for kept in (set(), set(words[::3]), set(words[1::3]), {words[i] for i in bad_rows[1:]}, set(words[64:])):
+            with pytest.raises(ModelFormatError) as part:
+                load_model(path, kept)
+            assert str(part.value) == error, sorted(kept)
+
     def test_output_order_that_differs_only_in_dropped_words_fails(self, tmp_path):
         path = tmp_path / "m.w2v"
         path.write_text("trendlens-w2v 1 3 1 7\na 1.0\nb 2.0\nc 3.0\n#output\na 4.0\nc 6.0\nb 5.0\n")

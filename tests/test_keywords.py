@@ -195,6 +195,21 @@ class TestFileEmbedder:
         for s in streams:
             assert extract_keywords(s, reference, 5) == extract_keywords(s, from_files, 5)
 
+    def test_file_embedder_keeps_only_the_rows_of_its_words(self, tmp_path):
+        model = random_model(60, 6, seed=7)
+        rng = np.random.default_rng(8)
+        lexicon = [f"w{j:03d}" for j in range(0, 60, 2)] + ["oov"]  # half the model's words, and one it lacks
+        streams = [TokenStream(f"D{i}", tuple(rng.choice(lexicon, size=12))) for i in range(10)]
+        doc_path, word_path = tmp_path / "d.vec", tmp_path / "w.vec"
+        save_document_vectors(document_vectors(ReferenceEmbedder(model), streams), doc_path)
+        save_model(model, word_path)
+        words = {t for s in streams for t in s.tokens}
+        partial = FileEmbedder.from_files(doc_path, word_path, words)
+        assert partial.model.vocab.words == tuple(w for w in model.vocab.words if w in words)
+        whole = FileEmbedder.from_files(doc_path, word_path)
+        for s in streams:
+            assert extract_keywords(s, partial, 5) == extract_keywords(s, whole, 5)
+
 
 class TestExtract:
     def test_single_repeated_token_scores_one(self):

@@ -1,18 +1,21 @@
 import csv
 import json
 import re
+import weakref
 from pathlib import Path
 
 import pytest
 
-from trendlens import embedding
-from trendlens.cli import EXIT_OK, main
+from trendlens import embedding, pipeline
+from trendlens.cli import EXIT_FAILURE, EXIT_OK, main
 from trendlens.corpus import load_corpus
 from trendlens.embedding import TrainConfig, train
+from trendlens.keywords import ExtractionResult, KeywordScore, load_extractions
 from trendlens.pipeline import (
     CurationRequired,
     PipelineConfig,
     PipelineStageError,
+    _analysis_words,
     _prep_streams,
     resolve_config,
     run_pipeline,
@@ -235,6 +238,99 @@ class TestPretrainedRunKeepsTheRowsItLooksUp:
                      "--out-dir", str(staged / "out")]) == EXIT_OK
         chain = {p.name: p.read_bytes() for p in (staged / "out").iterdir()}
         assert {"keywords.csv": keywords.read_bytes(), **chain} == partial
+
+
+class TestAnalysisHoldsOnlyTheRowsItReads:
+    """The analysis gets a copy of the rows of its selected keywords and
+    anchors: a pretrained run frees the loaded matrix before the analysis
+    starts, and the staged analyze loads the same rows."""
+
+    ANCHORS = {"medical": "patient"}
+
+    def run(self, model, tmp_path, monkeypatch):
+        """A pretrained run at 20 percent; the model each analysis receives,
+        and whether each array the model load returned was freed by then."""
+        loaded, seen = [], []
+
+        def load(path, words=None):
+            model = embedding.load_model(path, words)
+            loaded.extend(weakref.ref(a) for a in (model.input_vectors, model.input_vectors.base) if a is not None)
+            return model
+
+        analyze = pipeline.analyze_extractions
+
+        def analyze_with_probe(results, corpus, model, *args):
+            seen.append((model, [ref() is None for ref in loaded]))
+            return analyze(results, corpus, model, *args)
+
+        monkeypatch.setattr("trendlens.pipeline.load_model", load)
+        monkeypatch.setattr("trendlens.pipeline.analyze_extractions", analyze_with_probe)
+        overrides = {"model": str(model), "top_percent": 20.0, "anchors": self.ANCHORS, "out_dir": str(tmp_path)}
+        run_pipeline(resolve_config(FIXTURE / "config.json", overrides))
+        return seen
+
+    def staged_analyze(self, model, keywords, out_dir, monkeypatch):
+        """The exit code of ``trendlens analyze`` on the run's keywords, and the model it loads."""
+        loaded = []
+        monkeypatch.setattr("trendlens.cli.load_model", lambda *a: loaded.append(embedding.load_model(*a)) or loaded[-1])
+        code = main(["analyze", "--keywords", str(keywords), "--corpus", str(FIXTURE / "corpus.jsonl"),
+                     "--model", str(model), "--top-percent", "20", "--cluster-threshold", "0.08",
+                     "--anchor", "medical=patient", "--out-dir", str(out_dir)])
+        return code, loaded[0]
+
+    def test_the_loaded_matrix_is_freed_before_the_analysis(self, fixture_run, tmp_path, monkeypatch):
+        (_, freed), = self.run(fixture_run[0] / "model.w2v", tmp_path, monkeypatch)
+        assert len(freed) == 2 and all(freed)
+
+    def test_the_analysis_model_holds_the_rows_of_its_words(self, fixture_run, tmp_path, monkeypatch):
+        path = fixture_run[0] / "model.w2v"
+        (model, _), = self.run(path, tmp_path / "out", monkeypatch)
+        results = load_extractions(tmp_path / "out" / "keywords.csv")
+        words = _analysis_words(results, load_corpus(FIXTURE / "corpus.jsonl"), 20.0, self.ANCHORS)
+        full = embedding.load_model(path)
+        rows = [i for i, w in enumerate(full.vocab.words) if w in words]
+        assert "patient" in words and 0 < len(rows) < len({ks.keyword for r in results for ks in r.keywords})
+        assert model.vocab.words == tuple(full.vocab.words[i] for i in rows)
+        assert model.input_vectors.tobytes() == full.input_vectors[rows].tobytes()
+        assert model.output_vectors.shape == model.input_vectors.shape and not model.output_vectors.any()
+        assert not model.output_vectors.flags.writeable
+        assert (model.file_words, model.seed) == (full.file_words, full.seed)
+        code, staged = self.staged_analyze(path, tmp_path / "out" / "keywords.csv", tmp_path / "staged", monkeypatch)
+        assert code == EXIT_OK
+        assert staged.vocab.words == model.vocab.words
+        assert staged.input_vectors.tobytes() == model.input_vectors.tobytes()
+        for name in ("frequencies.csv", "projection.csv", "anchor_similarity.csv", "trend_report.json"):
+            assert (tmp_path / "staged" / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
+
+    def test_a_trained_run_analyzes_a_copy_of_its_rows(self, tmp_path, monkeypatch):
+        seen = []
+        analyze = pipeline.analyze_extractions
+        monkeypatch.setattr("trendlens.pipeline.analyze_extractions",
+                            lambda results, corpus, model, *a: seen.append(model) or analyze(results, corpus, model, *a))
+        config = fixture_config(tmp_path)
+        config.train = TrainConfig(dim=8, epochs=1, seed=3)
+        run_pipeline(config)
+        model, = seen
+        full = embedding.load_model(tmp_path / "model.w2v")
+        words = _analysis_words(load_extractions(tmp_path / "keywords.csv"), load_corpus(config.corpus), 75.0, {})
+        assert set(model.vocab.words) == words & set(full.vocab.words)
+        assert json.loads((tmp_path / "trend_report.json").read_text())["model"]["vocabulary"] == len(full.vocab)
+
+    def test_a_selected_keyword_missing_from_the_model_fails_naming_it(self, fixture_run, tmp_path, monkeypatch, caplog):
+        # every document also extracts a word the model lacks, so each industry selects it
+        extract = pipeline.extract_keywords
+
+        def extract_with_absent(stream, embedder, top_n):
+            result = extract(stream, embedder, top_n)
+            return ExtractionResult(result.doc_id, (*result.keywords, KeywordScore("zzabsent", 0.0)))
+
+        monkeypatch.setattr("trendlens.pipeline.extract_keywords", extract_with_absent)
+        error = "keyword 'zzabsent' of industry 'factory' is not in the model"
+        path = fixture_run[0] / "model.w2v"
+        with pytest.raises(PipelineStageError, match=re.escape(f"stage 'analyze' failed: {error}")):
+            self.run(path, tmp_path / "out", monkeypatch)
+        code, _ = self.staged_analyze(path, tmp_path / "out" / "keywords.csv", tmp_path / "staged", monkeypatch)
+        assert code == EXIT_FAILURE and error in caplog.text
 
 
 class TestGoldenPlot:

@@ -61,6 +61,15 @@ class TestParse:
     def test_wildcard_inside_quotes(self):
         assert parse_query("'deep learn*'") == Phrase("deep learn", wildcard=True)
 
+    @pytest.mark.parametrize("source, tree", [
+        ("or*", Phrase("or", wildcard=True)),
+        ("AND*", Phrase("AND", wildcard=True)),
+        ("deep OR or*", Or(Phrase("deep"), Phrase("or", wildcard=True))),
+        ("deep and*", Phrase("deep and", wildcard=True)),
+    ])
+    def test_an_operator_with_a_wildcard_is_a_term(self, source, tree):
+        assert parse_query(source) == tree
+
     def test_phrase_text_preserves_case(self):
         assert parse_query("'Cyber Security'").text == "Cyber Security"
 
@@ -125,6 +134,8 @@ class TestParseErrors:
             ("de*ep", _WILDCARD, 2),
             ("a* b", _WILDCARD, 3),
             ("deep learn* method", _WILDCARD, 12),
+            ("deep AND* learn", _WILDCARD, 10),
+            ("or* b", _WILDCARD, 4),
             ("OR a", "dangling operator", 0),
             ("a AND OR b", "dangling operator", 6),
             ("a AND", "dangling operator", 5),
