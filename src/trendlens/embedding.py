@@ -451,10 +451,11 @@ def _first_non_finite(rows: np.ndarray) -> int | None:
 
 def _read_rows(lines, n_rows, dim, path, block, what, keep=None):
     """The next ``n_rows`` non-blank ``lines`` as labelled rows of ``dim``
-    finite floats; ``block`` and ``what`` name the block and the label kind
-    in errors.  Assigning the strings to a float64 row parses them exactly
-    as float() does.  Returns every label in file order, then the labels and
-    matrix of the rows kept: all, or those labelled in the set ``keep``.
+    finite floats, each line with its line ending; ``block`` and ``what``
+    name the block and the label kind in errors.  Assigning the strings to a
+    float64 row parses them exactly as float() does.  Returns every label in
+    file order, then the labels and matrix of the rows kept: all, or those
+    labelled in the set ``keep``.
     Every row is checked, a dropped one in a small scratch block that is
     checked whenever it fills; a non-finite value fails after the loop, so a
     later row's syntax error comes first."""
@@ -463,10 +464,10 @@ def _read_rows(lines, n_rows, dim, path, block, what, keep=None):
     spare = np.empty((0 if keep is None else min(n_rows, _SPARE_ROWS), dim))
     dropped, bad = [], []  # the labels of the rows in spare; of rows found non-finite
     for n in range(n_rows):
-        try:
-            label, *values = next(lines).split()
-        except StopIteration:
-            raise ModelFormatError(f"{path}: unexpected end of file in {block} block") from None
+        line = next(lines, "")
+        if not line.endswith(("\n", "\r")):  # missing, or cut before its line ending
+            raise ModelFormatError(f"{path}: unexpected end of file in {block} block")
+        label, *values = line.split()
         if label in seen:
             raise ModelFormatError(f"{path}: duplicate {what} {label!r}")
         seen.add(label)

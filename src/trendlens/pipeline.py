@@ -31,6 +31,7 @@ from .textprep import (
     TokenStream,
     _csv_table,
     _json_object,
+    _text_lines,
     _write_csv,
     filter_stopwords,
     load_base_stopwords,
@@ -239,8 +240,10 @@ def resolve_config(
     values: dict[str, Any] = {}
     if config_path is not None:
         config_path = Path(config_path)
+        with open(config_path, "rb") as fh:  # decoded per line, so a bad byte fails naming its line
+            text = "".join(_text_lines(fh, config_path)).replace("\r\n", "\n").replace("\r", "\n")
         try:
-            values = json.loads(config_path.read_text(encoding="utf-8"), object_pairs_hook=_json_object)
+            values = json.loads(text, object_pairs_hook=_json_object)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{config_path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
         except ValueError as exc:  # a repeated key, which the hook cannot place on a line

@@ -190,32 +190,20 @@ def serialize_query(expr: QueryExpr) -> str:
     raise TypeError(f"not a query expression: {expr!r}")
 
 
-def _phrase_match(phrase_tokens: list[str], wildcard: bool, doc_tokens: list[str]) -> bool:
-    m = len(phrase_tokens)
-    if m == 0 or m > len(doc_tokens):
-        return False
-    head = phrase_tokens[:-1]
-    last = phrase_tokens[-1]
-    for i in range(len(doc_tokens) - m + 1):
-        if doc_tokens[i : i + m - 1] != head:
-            continue
-        tail = doc_tokens[i + m - 1]
-        if tail.startswith(last) if wildcard else tail == last:
-            return True
-    return False
-
-
 def eval_query(expr: QueryExpr, doc) -> bool:
     """True when the document's tokenized title+abstract satisfies ``expr``."""
-    doc_tokens = tokenize(doc.title + " " + doc.abstract)
-    return _eval(expr, doc_tokens)
+    return _eval(expr, " " + " ".join(tokenize(doc.title + " " + doc.abstract)) + " ")
 
 
-def _eval(expr: QueryExpr, doc_tokens: list[str]) -> bool:
+def _eval(expr: QueryExpr, text: str) -> bool:
+    # ``text`` holds the document's tokens with a space before and after
+    # each; no token holds a space, so a phrase's tokens occur as a run
+    # exactly when this substring does
     if isinstance(expr, Phrase):
-        return _phrase_match(tokenize(expr.text), expr.wildcard, doc_tokens)
+        tokens = tokenize(expr.text)
+        return bool(tokens) and " " + " ".join(tokens) + ("" if expr.wildcard else " ") in text
     if isinstance(expr, And):
-        return _eval(expr.left, doc_tokens) and _eval(expr.right, doc_tokens)
+        return _eval(expr.left, text) and _eval(expr.right, text)
     if isinstance(expr, Or):
-        return _eval(expr.left, doc_tokens) or _eval(expr.right, doc_tokens)
+        return _eval(expr.left, text) or _eval(expr.right, text)
     raise TypeError(f"not a query expression: {expr!r}")

@@ -5,6 +5,7 @@ threshold clustering."""
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -116,25 +117,168 @@ class PcaBasis:
 
 
 def fit_pca(vectors: Sequence[np.ndarray]) -> PcaBasis:
-    """Fit the top-2 PCA basis from the eigendecomposition of the sample
-    covariance.  Needs at least 3 distinct points and dimension >= 2.
+    """Fit the top-2 PCA basis of the sample covariance.  Needs at least 3
+    distinct points and dimension >= 2.
+
+    For k points in D dimensions the top two eigenpairs come from the
+    smaller of the k x k Gram matrix of the centered points and their D x D
+    scatter matrix.  Only elementwise numpy and single-threaded dot products
+    are used, so the bits do not depend on the BLAS thread count.  Below
+    rank 2 the second component is the unit vector orthogonal to the first
+    that Gram-Schmidt makes from the standard basis vector at the first's
+    smallest-magnitude entry.
     """
     X = np.asarray(vectors, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 3:
         raise ValueError("PCA needs at least 3 vectors")
     if X.shape[1] < 2:
         raise ValueError("PCA needs dimension >= 2")
+    k, D = X.shape
     mean = X.mean(axis=0)
     centered = X - mean
-    if not centered.any():
+    rows = centered if k <= D else np.ascontiguousarray(centered.T)
+    inner = np.empty((len(rows), len(rows)))
+    for i, row in enumerate(rows):  # one triangle; dot(a, b) and dot(b, a) have the same bits
+        inner[i, i:] = inner[i:, i] = _dots(row, rows[i:])
+    if not inner.any():
         raise ValueError("all points are identical; covariance is zero")
-    cov = centered.T @ centered / (X.shape[0] - 1)
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)  # ascending
-    components = eigenvectors.T[[-1, -2]]  # top two, largest first
+    eigenvalues, eigenvectors = _top_two(inner)
+    rank = 2 if eigenvalues[1] > len(rows) * _EPS * eigenvalues[0] else 1
+    components = eigenvectors[:rank]
+    if k <= D:  # a unit eigenvector u of the Gram matrix gives C^T u / sqrt(lambda)
+        components = _dots(centered.T, components[:, None, :]) / np.sqrt(eigenvalues[:rank])[:, None]
+    if rank == 1:
+        first = components[0]
+        j = np.abs(first).argmin()
+        second = -first[j] * first
+        second[j] += 1.0
+        components = np.stack([first, second / np.linalg.norm(second)])
     pivots = np.abs(components).argmax(axis=1)
     components *= np.sign(components[[0, 1], pivots])[:, None]
-    variances = np.maximum(eigenvalues[[-1, -2]], 0.0)
+    variances = np.maximum(eigenvalues, 0.0) / (k - 1)
     return PcaBasis(mean, components, (float(variances[0]), float(variances[1])))
+
+
+_EPS = float(np.finfo(np.float64).eps)
+# OpenBLAS splits a dot product longer than 10,000 elements over its threads,
+# which changes the bits of the sum; shorter pieces keep it on one thread
+_DOT_CHUNK = 8192
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.vecdot(a, b)``, summed over pieces of the last axis in order."""
+    n = a.shape[-1]
+    return sum(np.vecdot(a[..., i:i + _DOT_CHUNK], b[..., i:i + _DOT_CHUNK]) for i in range(0, n, _DOT_CHUNK))
+
+
+def _top_two(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two largest eigenvalues of the symmetric matrix ``A`` (s x s,
+    s >= 2), largest first, and unit eigenvectors for them as the rows of
+    a (2, s) array.
+
+    Householder tridiagonalization, Sturm-sequence bisection for the two
+    eigenvalues and inverse iteration for their vectors, the second kept
+    orthogonal to the first (Golub & Van Loan, Matrix Computations, 8.3
+    and 8.4).
+    """
+    s = len(A)
+    exponent = math.frexp(float(np.abs(A).max()))[1]
+    A = np.ldexp(A, -exponent)  # exact scaling into [-1, 1], so no square under- or overflows
+    diag, off, reflectors = [], [], []
+    for j in range(s - 2):
+        x = A[j + 1:, j]
+        norm = float(np.linalg.norm(x))
+        diag.append(float(A[j, j]))
+        off.append(-math.copysign(norm, x[0]))
+        if norm == 0.0:  # the column is already reduced
+            continue
+        v = x.copy()
+        v[0] -= off[-1]
+        beta = 2.0 / float(np.vecdot(v, v))
+        rest = A[j + 1:, j + 1:]
+        p = beta * np.vecdot(rest, v)
+        w = p - (beta * float(np.vecdot(p, v)) / 2.0) * v
+        rest -= v[:, None] * w + w[:, None] * v
+        reflectors.append((j + 1, beta, v))
+    diag += [float(A[-2, -2]), float(A[-1, -1])]
+    off.append(float(A[-1, -2]))
+
+    # Gershgorin bounds hold every eigenvalue; bisect to an absolute width
+    # of a few ulps of the largest bound
+    radius = [abs(a) + abs(b) for a, b in zip([0.0] + off, off + [0.0])]
+    lo = min(d - r for d, r in zip(diag, radius))
+    hi = max(d + r for d, r in zip(diag, radius))
+    scale = max(abs(lo), abs(hi))
+    width = 4.0 * _EPS * scale
+    off2 = [0.0] + [b * b for b in off]
+    pivmin = sys.float_info.min * max(1.0, max(off2))
+    values = []
+    for nth in (1, 2):  # the nth largest: fewer than s - nth + 1 eigenvalues lie below it
+        a, b = lo, hi + width
+        while b - a > width:
+            mid = (a + b) / 2.0
+            if _count_below(diag, off2, mid, pivmin) <= s - nth:
+                a = mid
+            else:
+                b = mid
+        values.append((a + b) / 2.0)
+
+    # fixed starts spread like random ones (a Weyl sequence); numpy.random
+    # would cost a run that trains nothing ~5 MiB of RSS to import
+    starts = np.arange(1.0, 2 * s + 1).reshape(2, s) * 0.6180339887498949 % 1.0 - 0.5
+    vectors: list[np.ndarray] = []
+    for value, y in zip(values, starts):
+        for _ in range(3):
+            y = np.array(_solve_shifted(diag, off, value, _EPS * scale, y.tolist()))
+            for u in vectors:
+                y -= float(np.vecdot(y, u)) * u
+            y /= np.linalg.norm(y)
+        vectors.append(y)
+    V = np.array(vectors)
+    for j, beta, v in reversed(reflectors):
+        V[:, j:] -= (beta * np.vecdot(V[:, j:], v))[:, None] * v
+    return np.ldexp(values, exponent), V
+
+
+def _count_below(diag: list[float], off2: list[float], x: float, pivmin: float) -> int:
+    """How many eigenvalues of the symmetric tridiagonal matrix with
+    diagonal ``diag`` and squared off-diagonal ``off2[1:]`` lie below ``x``:
+    the negative pivots of its LDL^T factorization less ``x``."""
+    count, q = 0, 1.0
+    for d, b2 in zip(diag, off2):
+        q = d - x - b2 / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        count += q < 0
+    return count
+
+
+def _solve_shifted(diag: list[float], off: list[float], shift: float, floor: float, b: list[float]) -> list[float]:
+    """Solve ``(T - shift I) y = b`` for the symmetric tridiagonal ``T`` by
+    Gaussian elimination with partial pivoting, overwriting ``b``.  A pivot
+    smaller than ``floor`` is raised to it, so a (nearly) singular shift, as
+    inverse iteration uses, still gives a finite solution."""
+    n = len(diag)
+    upper = []  # the rows of U: a pivot and the two entries right of it
+    d, e = diag[0] - shift, off[0]  # the pivot row, from its diagonal on
+    for i in range(1, n):
+        sub, below_d, below_e = off[i - 1], diag[i] - shift, off[i] if i < n - 1 else 0.0
+        if abs(d) < abs(sub):  # rows i - 1 and i swap
+            upper.append((sub, below_d, below_e))
+            b[i - 1], b[i] = b[i], b[i - 1]
+            m = d / sub
+            d, e = e - m * below_d, -m * below_e
+        else:
+            upper.append((d, e, 0.0))
+            m = sub / d if d else 0.0
+            d, e = below_d - m * e, below_e
+        b[i] -= m * b[i - 1]
+    upper.append((d, 0.0, 0.0))
+    y = [0.0] * (n + 2)
+    for i in range(n - 1, -1, -1):
+        p, e1, e2 = upper[i]
+        y[i] = (b[i] - e1 * y[i + 1] - e2 * y[i + 2]) / (p if abs(p) >= floor else math.copysign(floor, p))
+    return y[:n]
 
 
 def project(basis: PcaBasis, vector: np.ndarray) -> tuple[float, float]:

@@ -531,10 +531,10 @@ class TestPlotSubcommand:
 
 
 class TestInvalidUtf8NamesPathAndLine:
-    """The model, docvec, extraction CSV and projection CSV readers decode
-    per line, so a bad byte fails naming its file and line (exit 1)."""
+    """The model, docvec, extraction CSV, projection CSV and config readers
+    decode per line, so a bad byte fails naming its file and line (exit 1)."""
 
-    @pytest.mark.parametrize("reader", ["model", "docvec", "keywords", "projection"])
+    @pytest.mark.parametrize("reader", ["model", "docvec", "keywords", "projection", "config"])
     def test_bad_byte(self, tmp_path, caplog, reader):
         corpus, model = TestExtractSubcommand().setup_model(tmp_path)
         keywords, out_dir = tmp_path / "k.csv", tmp_path / "out"
@@ -553,9 +553,12 @@ class TestInvalidUtf8NamesPathAndLine:
             bad.write_bytes(b"".join([lines[0], b"P0,1,caf\xc3,0.5\n", *lines[1:]]))
             argv = ["analyze", "--keywords", str(bad), "--corpus", str(corpus), "--model", str(model),
                     "--out-dir", str(out_dir)]
-        else:
+        elif reader == "projection":
             bad.write_bytes(b"industry,keyword,x,y,cluster_id\nmedical,caf\xc3,0.1,0.2,0\n")
             argv = ["plot", "--projection", str(bad), "--out-dir", str(out_dir)]
+        else:
+            bad.write_bytes(b'{"corpus": "c.jsonl",\n "query": "caf\xc3("}\n')
+            argv = ["pipeline", "--config", str(bad), "--out-dir", str(out_dir)]
         assert main(argv) == EXIT_FAILURE
         assert f"{bad}:2: 'utf-8' codec can't decode byte 0xc3" in caplog.text
         assert not out_dir.exists() and not (tmp_path / "o.csv").exists()

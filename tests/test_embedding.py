@@ -17,7 +17,9 @@ from trendlens.embedding import (
     build_vocab,
     cosine_similarity,
     generate_pairs,
+    load_document_vectors,
     load_model,
+    save_document_vectors,
     save_model,
     train,
 )
@@ -731,6 +733,27 @@ class TestModelFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelFormatError, match=re.escape(f"{path}: word '{word}': non-finite")):
             load_model(path)
+
+    @pytest.mark.parametrize("kind, block", [("model", "input"), ("full model", "output"), ("docvec", "document")])
+    def test_a_file_cut_inside_its_last_row_fails(self, tmp_path, kind, block):
+        """A row ends with its line ending, so a file cut anywhere inside its
+        last row, even inside the last value, fails rather than loading a
+        shorter value."""
+        path = tmp_path / "f"
+        rows = np.array([[0.5, -1e-300], [-7.25, 0.3125]])
+        if kind == "docvec":
+            save_document_vectors({"d1": rows[0], "d2": rows[1]}, path)
+            load = load_document_vectors
+        else:
+            save_model(EmbeddingModel(Vocabulary(("a", "b")), rows, -rows, seed=3), path, full=kind == "full model")
+            load = load_model
+        data = path.read_bytes()
+        load(path)
+        last_row = data.rindex(b"\n", 0, -1) + 1
+        for cut in range(last_row, len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ModelFormatError, match=re.escape(f"{path}: unexpected end of file in {block} block")):
+                load(path)
 
 
 def _subsets(words):

@@ -51,3 +51,22 @@ def test_only_textprep_parses_or_writes_csv_and_jsonl():
                 if names & banned and not exempt:
                     found.append(f"{source.name}:{node.lineno}: {', '.join('.'.join(n) for n in names & banned)}")
     assert not found, found
+
+
+def test_no_module_calls_lapack():
+    """PCA is fitted without LAPACK, whose results change with the BLAS
+    thread count and whose first call raises a run's peak memory: no module
+    uses an ``np.linalg`` function other than ``norm``."""
+    found = []
+    for source in sorted(Path(trendlens.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+                names = {node.attr} if node.value.attr == "linalg" else set()
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names if alias.name.endswith("linalg")}
+            else:
+                continue
+            found += [f"{source.name}:{node.lineno}: {name}" for name in sorted(names - {"norm"})]
+    assert not found, found

@@ -188,6 +188,10 @@ class TestEval:
     def test_punctuation_in_document_ignored(self):
         assert eval_query(parse_query("deep learning"), doc("deep-learning, applied"))
 
+    @pytest.mark.parametrize("wildcard", [False, True])
+    def test_a_phrase_without_tokens_matches_nothing(self, wildcard):
+        assert not eval_query(Phrase("!!!", wildcard=wildcard), doc("any words at all"))
+
 
 # --- property tests -------------------------------------------------------
 

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +22,9 @@ from trendlens.trends import (
     project,
     select_top_percent,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def doc(doc_id, industry, abstract="placeholder text"):
@@ -283,6 +292,104 @@ class TestPca:
     def test_identical_points_rejected(self):
         with pytest.raises(ValueError, match="identical"):
             fit_pca(np.ones((5, 4)))
+
+
+def eigh_pca(X):
+    """The reference PCA: LAPACK's eigendecomposition of the sample
+    covariance, with fit_pca's sign rule; eigenvalues descending,
+    eigenvectors as rows."""
+    centered = X - X.mean(axis=0)
+    eigenvalues, eigenvectors = np.linalg.eigh(centered.T @ centered / (len(X) - 1))
+    vectors = eigenvectors.T[::-1].copy()
+    pivots = np.abs(vectors).argmax(axis=1)
+    vectors *= np.sign(vectors[np.arange(len(vectors)), pivots])[:, None]
+    return eigenvalues[::-1], vectors
+
+
+class TestPcaAgainstEigh:
+    """fit_pca's own eigensolver against np.linalg.eigh.  Coordinates agree
+    within 1e-9 of the largest coordinate; where an eigenvector is
+    ill-posed, the spanned subspace is compared instead."""
+
+    @pytest.mark.parametrize("k, D", [(3, 2), (5, 40), (12, 300), (40, 40), (60, 9), (200, 30), (500, 3)])
+    def test_coordinates_match_on_random_clouds(self, k, D):
+        rng = np.random.default_rng(k * 1000 + D)
+        X = rng.normal(size=(k, D)) * rng.uniform(0.1, 3.0, D) + rng.normal(size=D)
+        basis = fit_pca(X)
+        values, vectors = eigh_pca(X)
+        centered = X - X.mean(axis=0)
+        ours, theirs = centered @ basis.components.T, centered @ vectors[:2].T
+        assert np.abs(ours - theirs).max() <= 1e-9 * np.abs(theirs).max()
+        np.testing.assert_allclose(basis.explained_variance, values[:2], rtol=1e-9)
+        np.testing.assert_allclose(basis.components @ basis.components.T, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("k, D", [(30, 8), (8, 30)])
+    def test_second_component_spans_a_near_double_eigenvalue(self, k, D):
+        rng = np.random.default_rng(k + D)
+        axes = np.linalg.qr(rng.normal(size=(D, 3)))[0].T
+        scales = np.array([5.0, 2.0, 2.0 * (1 + 1e-12)])
+        coords = rng.normal(size=(k, 3))
+        coords = np.linalg.qr(coords - coords.mean(axis=0))[0]  # centered, orthonormal columns
+        X = coords * scales @ axes + rng.normal(size=D)
+        basis = fit_pca(X)
+        values, vectors = eigh_pca(X)
+        assert values[1] == pytest.approx(values[2], rel=1e-9)
+        np.testing.assert_allclose(basis.components[0], vectors[0], atol=1e-9)
+        in_plane = vectors[1:3] @ basis.components[1]
+        assert np.linalg.norm(in_plane) == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_allclose(basis.explained_variance, values[:2], rtol=1e-9)
+
+    @pytest.mark.parametrize("k, D", [(4, 9), (9, 4)])
+    def test_rank_one_component_and_variances(self, k, D):
+        rng = np.random.default_rng(k * D)
+        X = np.outer(rng.normal(size=k), rng.normal(size=D)) + rng.normal(size=D)
+        basis = fit_pca(X)
+        values, vectors = eigh_pca(X)
+        np.testing.assert_allclose(basis.components[0], vectors[0], atol=1e-12)
+        assert basis.explained_variance[0] == pytest.approx(values[0], rel=1e-12)
+        assert basis.explained_variance[1] == pytest.approx(0.0, abs=1e-12 * values[0])
+        # the second axis completes the basis from the first's smallest entry
+        j = int(np.abs(basis.components[0]).argmin())
+        expected = np.eye(D)[j] - basis.components[0][j] * basis.components[0]
+        expected /= np.linalg.norm(expected)
+        expected *= np.sign(expected[np.abs(expected).argmax()])
+        np.testing.assert_allclose(basis.components[1], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [10, 100, 300, 2000])
+    def test_time_per_fit(self, k):
+        X = np.random.default_rng(k).normal(size=(k, 300))
+        best = min(_seconds(fit_pca, X) for _ in range(3))
+        assert best <= 0.25, f"{k}x300 fit took {best:.3f} s"
+
+
+def _seconds(fn, *args):
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
+_THREADED_FITS = """
+import hashlib
+import numpy as np
+from trendlens.trends import fit_pca
+for k, D in [(12, 300), (300, 300), (20_000, 3)]:
+    basis = fit_pca(np.random.default_rng(k + D).normal(size=(k, D)))
+    variances = np.array(basis.explained_variance)
+    print(k, D, hashlib.sha256(basis.components.tobytes() + variances.tobytes()).hexdigest())
+"""
+
+
+def test_pca_bits_do_not_depend_on_the_blas_thread_count():
+    """1 and 2 OpenBLAS threads give the same PCA bytes; 20,000 points puts
+    the scatter matrix's dot products past OpenBLAS's threading threshold."""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _THREADED_FITS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 class TestProject:
