@@ -13,9 +13,10 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
-from .corpus import FORMATS, load_corpus, save_corpus
+from .corpus import FORMATS, _documents, _document_record, load_corpus, save_corpus
 from .embedding import MODES, TrainConfig, load_model, save_model, train
 from .keywords import FileEmbedder, ReferenceEmbedder, load_extractions
 from .pipeline import (
@@ -31,6 +32,7 @@ from .pipeline import (
     _extract,
     _prep_streams,
     _query,
+    _stopwords,
     _train_config,
     _unused_training,
     analyze_extractions,
@@ -42,12 +44,15 @@ from .pipeline import (
 from .textprep import (
     StopwordList,
     TokenStream,
+    _interned,
     _json_lines,
+    _json_lines_out,
+    _stream_record,
     _text_lines,
+    _token_streams,
     filter_stopwords,
     load_stopword_list,
-    load_token_streams,
-    save_token_streams,
+    tokenize,
 )
 from .trends import DEFAULT_TOP_K
 
@@ -107,8 +112,9 @@ def _read_query(args) -> str | None:
     return None
 
 
-def _input_streams(args) -> list[TokenStream]:
-    """Token streams from either a corpus file or a tokens JSONL file.
+def _input_streams(args) -> Iterator[TokenStream]:
+    """Token streams from either a corpus file or a tokens JSONL file, made
+    one at a time as they are drawn; the stopword lists are read at the call.
 
     The kind comes from the first record: a JSON object with exactly the
     keys 'id' and 'tokens' marks a tokens file.  Its streams were filtered
@@ -121,39 +127,43 @@ def _input_streams(args) -> list[TokenStream]:
     except ValueError:  # not JSONL, or bad at its first record: the corpus reader names the fault
         record = None
     if isinstance(record, dict) and set(record) == {"id", "tokens"}:
-        streams = load_token_streams(args.input)
+        streams = _token_streams(args.input)
         lists = [load_stopword_list(args.base_stopwords)] if args.base_stopwords else []
         lists += [load_stopword_list(path) for path in args.extra_stopwords]
         if lists:
             stop = StopwordList.union(*lists)
-            streams = [filter_stopwords(s, stop) for s in streams]
+            streams = (filter_stopwords(s, stop) for s in streams)
         return streams
-    corpus = load_corpus(args.input, getattr(args, "format", None))
-    return _prep_streams(corpus, args.base_stopwords, args.extra_stopwords)
+    documents = _documents(args.input, getattr(args, "format", None))
+    return _prep_streams(documents, args.base_stopwords, args.extra_stopwords)
 
 
 def cmd_ingest(args) -> int:
     if not args.tokens_out and (args.base_stopwords or args.extra_stopwords):
         raise ValueError("flags: stopword lists are unused without --tokens-out")
-    corpus = load_corpus(args.input, args.format)
-    log.info("loaded %d documents (%d industries)", len(corpus), len(corpus.industries))
-    if args.out:
-        save_corpus(corpus, args.out)
-    if args.tokens_out:
-        streams = _prep_streams(corpus, args.base_stopwords, args.extra_stopwords)
-        save_token_streams(streams, args.tokens_out)
+    stop = _stopwords(args.base_stopwords, args.extra_stopwords) if args.tokens_out else None
+    count, industries = 0, set()
+    # one document at a time; the tokens file is renamed into place last, as it was written last
+    with _json_lines_out(args.tokens_out) as put_stream, _json_lines_out(args.out) as put_document:
+        for doc in _documents(args.input, args.format):
+            count += 1
+            industries.add(doc.industry)
+            put_document(_document_record(doc))
+            if stop is not None:  # a stream written and dropped: interning it would only churn the table
+                put_stream(_stream_record(filter_stopwords(TokenStream(doc.id, tuple(tokenize(doc.abstract))), stop)))
+    log.info("loaded %d documents (%d industries)", count, len(industries))
     return EXIT_OK
 
 
 def cmd_query(args) -> int:
-    save_corpus(_query(load_corpus(args.input, args.format), _read_query(args)), args.out)
+    save_corpus(_query(_documents(args.input, args.format), _read_query(args)), args.out)
     return EXIT_OK
 
 
 def cmd_stopwords(args) -> int:
     if args.model:
         _unused_training(k for k, v in vars(args).items() if v is not None)
-    streams = _prep_streams(load_corpus(args.input, args.format), args.base_stopwords, ())
+    streams = list(_prep_streams(_documents(args.input, args.format), args.base_stopwords, ()))
     model = (load_model(args.model, {t for s in streams for t in s.tokens}) if args.model
              else train(streams, _flag_train_config(args)))
     _candidates(streams, model, args.out, args.top_k, args.top_n)
@@ -162,7 +172,7 @@ def cmd_stopwords(args) -> int:
 
 def cmd_train(args) -> int:
     config = _flag_train_config(args)
-    model = train(_input_streams(args), config)
+    model = train(_interned(_input_streams(args)), config)  # a tokens file's streams come uninterned
     save_model(model, args.out, full=args.full)
     log.info("trained %d-word, %d-d model -> %s", len(model.vocab), model.dim, args.out)
     return EXIT_OK
@@ -173,13 +183,13 @@ def cmd_extract(args) -> int:
         raise ValueError("use either --model or --doc-vectors/--word-vectors, not both")
     if not (args.model or (args.doc_vectors and args.word_vectors)):
         raise ValueError("--model or both --doc-vectors and --word-vectors are required")
-    streams = _input_streams(args)
-    tokens = {t for s in streams for t in s.tokens}
+    # two passes over the input: its token set for the model rows, then one document at a time
+    tokens = {t for s in _input_streams(args) for t in s.tokens}
     if args.model:
         embedder = ReferenceEmbedder(load_model(args.model, tokens))
     else:
         embedder = FileEmbedder.from_files(args.doc_vectors, args.word_vectors, tokens)
-    _extract(streams, embedder, args.top_n, args.out)
+    _extract(_input_streams(args), embedder, args.top_n, args.out)
     return EXIT_OK
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .query import QueryExpr, eval_query
 from .textprep import _csv_rows, _json_lines, _write_json_lines
@@ -106,20 +107,27 @@ def load_corpus(path: str | Path, format: str | None = None) -> Corpus:
     file suffix (.csv means CSV, anything else means JSONL).  Errors name
     the offending line.
     """
+    return Corpus(tuple(_documents(path, format)))
+
+
+def _documents(path: str | Path, format: str | None = None) -> Iterator[PatentDocument]:
+    """The documents of :func:`load_corpus` one at a time, each record
+    checked as it is read; only the ids seen so far are held, and a file
+    with no record fails after its last line."""
     path = Path(path)
     if format is None:
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if format not in FORMATS:
         raise CorpusError(f"unknown corpus format {format!r}")
-    docs: dict[str, PatentDocument] = {}
+    seen: set[str] = set()
     for where, record in _json_lines(path, CorpusError) if format == "jsonl" else _csv_records(path):
         doc = _record_to_document(record, where)
-        if doc.id in docs:
+        if doc.id in seen:
             raise CorpusError(f"{where}: duplicate id {doc.id!r}")
-        docs[doc.id] = doc
-    if not docs:
+        seen.add(doc.id)
+        yield doc
+    if not seen:
         raise CorpusError(f"{path}: empty corpus file")
-    return Corpus(tuple(docs.values()))
 
 
 def _csv_records(path: Path):
@@ -137,9 +145,13 @@ def _csv_records(path: Path):
         yield where, dict(zip(header, row))
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus as canonical JSONL (fixed key order, UTF-8)."""
-    _write_json_lines(path, ({f: getattr(doc, f) for f in _FIELDS} for doc in corpus.documents))
+def _document_record(doc: PatentDocument) -> dict:
+    return {f: getattr(doc, f) for f in _FIELDS}
+
+
+def save_corpus(documents: Iterable[PatentDocument], path: str | Path) -> None:
+    """Write a corpus, or any documents, as canonical JSONL (fixed key order, UTF-8)."""
+    _write_json_lines(path, map(_document_record, documents))
 
 
 def filter_corpus(corpus: Corpus, expr: QueryExpr) -> Corpus:

@@ -17,14 +17,14 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
-from .corpus import Corpus, load_corpus, filter_corpus
+from .corpus import Corpus, PatentDocument, load_corpus
 from .embedding import (
     TRAIN_RANGES, EmbeddingModel, TrainConfig, _keep_rows, cosine_similarity, load_model, save_model, train
 )
 from .keywords import Embedder, ExtractionResult, ReferenceEmbedder, extract_keywords, save_extractions
-from .query import parse_query
+from .query import eval_query, parse_query
 from .svgplot import emit_scatter_svg
 from .textprep import (
     StopwordList,
@@ -185,17 +185,25 @@ def _unused_training(keys: Iterable[str]) -> None:
         )
 
 
-def _prep_streams(corpus: Corpus, base: str | None, extras: Iterable[str]) -> list[TokenStream]:
-    """Tokenize each abstract and drop the stopwords of the ``base`` list file
-    (the bundled list when None) and the curated ``extras``, in one pass.
+def _stopwords(base: str | None, extras: Iterable[str]) -> StopwordList:
+    """The stopwords of the ``base`` list file (the bundled list when None) and the curated ``extras``."""
+    base_list = load_stopword_list(base) if base else load_base_stopwords()
+    return StopwordList.union(base_list, *(load_stopword_list(p) for p in extras))
+
+
+def _prep_streams(
+    documents: Iterable[PatentDocument], base: str | None, extras: Iterable[str]
+) -> Iterator[TokenStream]:
+    """The interned token stream of each document, made as it is drawn; the
+    stopword lists (see :func:`_stopwords`) are read at the call, before any
+    document.
 
     Kept private so that the perfbench tracer, which wraps public
     functions only, still sees tokenize and filter_stopwords as called by
     run_pipeline or the CLI handler and counts them as the text stage.
     """
-    base_list = load_stopword_list(base) if base else load_base_stopwords()
-    stop = StopwordList.union(base_list, *(load_stopword_list(p) for p in extras))
-    return [filter_stopwords(TokenStream(d.id, tuple(map(sys.intern, tokenize(d.abstract)))), stop) for d in corpus]
+    stop = _stopwords(base, extras)
+    return (filter_stopwords(TokenStream(d.id, tuple(map(sys.intern, tokenize(d.abstract)))), stop) for d in documents)
 
 
 def _candidates(
@@ -208,16 +216,26 @@ def _candidates(
 
 
 def _extract(
-    streams: list[TokenStream], embedder: Embedder, top_n: int, path: str | Path
+    streams: Iterable[TokenStream], embedder: Embedder, top_n: int, path: str | Path, keep: bool = False
 ) -> list[ExtractionResult]:
-    """Extract, save to ``path`` and log how many documents had nothing to
-    score; private for the reason :func:`_prep_streams` is."""
-    results = [extract_keywords(s, embedder, top_n) for s in streams]
-    save_extractions(results, path)
-    skipped = sum(1 for r in results if r.warning)
+    """Extract each stream's keywords into ``path`` and log how many
+    documents had nothing to score.  With ``keep`` the results are made,
+    held and returned before any is written; without it each is written as
+    it is made and none is held.  Private for the reason :func:`_prep_streams` is."""
+    results = (extract_keywords(s, embedder, top_n) for s in streams)
+    held = list(results) if keep else []
+    skipped = 0
+
+    def counted(results):
+        nonlocal skipped
+        for result in results:
+            skipped += result.warning is not None
+            yield result
+
+    save_extractions(counted(held if keep else results), path)
     if skipped:
         log.warning("%d document(s) had no scoreable keywords", skipped)
-    return results
+    return held
 
 
 def resolve_config(
@@ -271,14 +289,20 @@ def resolve_config(
     return PipelineConfig(**values, train=_train_config(train_values, env_seed))
 
 
-def _query(corpus: Corpus, source: str) -> Corpus:
-    """The documents of ``corpus`` that the query ``source`` matches; none
-    matching fails.  Shared by run_pipeline and the ``query`` subcommand."""
-    kept = filter_corpus(corpus, parse_query(source))
-    log.info("query kept %d of %d documents", len(kept), len(corpus))
-    if len(kept) == 0:
+def _query(documents: Iterable[PatentDocument], source: str) -> Iterator[PatentDocument]:
+    """The documents the query ``source`` matches, in order, as they are
+    drawn; after the last one the counts are logged, and none matching
+    fails.  Shared by run_pipeline and the ``query`` subcommand."""
+    expr = parse_query(source)
+    total = kept = 0
+    for doc in documents:
+        total += 1
+        if eval_query(expr, doc):
+            kept += 1
+            yield doc
+    log.info("query kept %d of %d documents", kept, total)
+    if not kept:
         raise ValueError("query matched no documents")
-    return kept
 
 
 @dataclass
@@ -547,10 +571,10 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
     corpus = stage("load", load_corpus, config.corpus, config.format)
     log.info("loaded %d documents across %d industries", len(corpus), len(corpus.industries))
     if config.query:
-        corpus = stage("query", _query, corpus, config.query)
+        corpus = stage("query", lambda docs: Corpus(tuple(_query(docs, config.query))), corpus)
 
     streams = stage(
-        "stopwords", _prep_streams, corpus, config.base_stopwords, config.extra_stopwords
+        "stopwords", lambda: list(_prep_streams(corpus, config.base_stopwords, config.extra_stopwords))
     )
     if config.model:
         words = _lookups((t for s in streams for t in s.tokens), corpus, config.anchors)
@@ -577,7 +601,7 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
         )
 
     results = stage(
-        "extract", _extract, streams, ReferenceEmbedder(model), config.top_n, out_dir / "keywords.csv"
+        "extract", _extract, streams, ReferenceEmbedder(model), config.top_n, out_dir / "keywords.csv", keep=True
     )
 
     # the rows the analysis reads, copied so the full matrix is freed before PCA

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
-import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import filterfalse
+from itertools import count, filterfalse, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "TokenStream",
@@ -62,10 +63,45 @@ def _json_lines(path, error=ValueError):
             yield f"{path}:{lineno}", value
 
 
+_TEMP_IDS = count()  # one temporary name per output of a process, even for one path given twice
+
+
+@contextmanager
+def _replacing(path, newline=None):
+    """A UTF-8 text file open on a new file beside ``path``, renamed over
+    ``path`` when the block ends and removed when it raises, so a failed
+    write leaves no output and any earlier ``path`` as it was."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.{next(_TEMP_IDS)}.tmp")
+    try:
+        fh = open(temp, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:  # named as the output, not its temporary file
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
+def _json_lines_out(path):
+    """A function writing one record to ``path`` as a line of UTF-8 JSON, non-ASCII characters
+    unescaped, through :func:`_replacing`; with no ``path`` it writes nothing."""
+    if path is None:
+        yield lambda record: None
+        return
+    with _replacing(path) as fh:
+        yield lambda record: fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
 def _write_json_lines(path, records) -> None:
-    """Write each of ``records`` to ``path`` as one line of UTF-8 JSON, non-ASCII characters unescaped."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+    """Write each of ``records`` to ``path`` as :func:`_json_lines_out` does."""
+    with _json_lines_out(path) as write:
+        for record in records:
+            write(record)
 
 
 def _csv_rows(path, error=ValueError):
@@ -94,8 +130,9 @@ def _csv_table(path, header: Sequence[str]):
 
 
 def _write_csv(path, header: Sequence[str], rows) -> None:
-    """Write ``header`` and then ``rows`` to ``path`` as UTF-8 CSV in the csv module's default dialect."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write ``header`` and then ``rows`` to ``path`` as UTF-8 CSV in the csv module's default dialect,
+    through :func:`_replacing`."""
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -112,7 +149,8 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class TokenStream:
-    """Ordered lowercase tokens of one document's analysis text; interned where this package makes them."""
+    """Ordered lowercase tokens of one document's analysis text; interned where this package
+    tokenizes a text, and where it holds the streams of a tokens file (see :func:`_interned`)."""
 
     doc_id: str
     tokens: tuple[str, ...]
@@ -182,16 +220,25 @@ def load_base_stopwords() -> StopwordList:
         return load_stopword_list(path)
 
 
-def save_token_streams(streams: Sequence[TokenStream], path: str | Path) -> None:
+def _stream_record(stream: TokenStream) -> dict:
+    return {"id": stream.doc_id, "tokens": list(stream.tokens)}
+
+
+def save_token_streams(streams: Iterable[TokenStream], path: str | Path) -> None:
     """Write streams as JSONL records {"id": ..., "tokens": [...]}."""
-    _write_json_lines(path, ({"id": s.doc_id, "tokens": list(s.tokens)} for s in streams))
+    _write_json_lines(path, map(_stream_record, streams))
 
 
 def load_token_streams(path: str | Path) -> list[TokenStream]:
     """Read streams written by :func:`save_token_streams`.  A malformed record,
     a repeated id, or a token a model file cannot hold (empty or not lowercase
     alphanumeric, the rule of StopwordList entries), fails with ``path:line``."""
-    streams: list[TokenStream] = []
+    return _interned(_token_streams(path))
+
+
+def _token_streams(path) -> Iterator[TokenStream]:
+    """The streams of :func:`load_token_streams` one at a time, each record
+    checked as it is read; only the ids seen so far are held."""
     seen: set[str] = set()
     for where, record in _json_lines(path):
         if not isinstance(record, dict) or set(record) != {"id", "tokens"}:
@@ -202,10 +249,22 @@ def load_token_streams(path: str | Path) -> list[TokenStream]:
         if doc_id in seen:
             raise ValueError(f"{where}: duplicate id {doc_id!r}")
         seen.add(doc_id)
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        if not isinstance(tokens, list) or not all(map(isinstance, tokens, repeat(str))):
             raise ValueError(f"{where}: 'tokens' must be a list of strings")
-        bad = next((t for t in tokens if not (t.isalnum() and t == t.lower())), None)
-        if bad is not None:
+        # the rule holds for every token when none is empty and it holds for their join,
+        # which one call per test checks; only a failing record is searched for its bad token
+        joined = "".join(tokens)
+        if not (all(tokens) and (joined.isalnum() or not joined) and joined == joined.lower()):
+            bad = next(t for t in tokens if not (t.isalnum() and t == t.lower()))
             raise ValueError(f"{where}: token {bad!r} is not lowercase alphanumeric")
-        streams.append(TokenStream(doc_id, tuple(map(sys.intern, tokens))))
-    return streams
+        yield TokenStream(doc_id, tuple(tokens))
+
+
+def _interned(streams: Iterable[TokenStream]) -> list[TokenStream]:
+    """``streams`` as a list in which each distinct token is one string
+    object, so that a word many streams hold is stored once.  The table is
+    the call's own: :func:`_token_streams` leaves its streams uninterned, as
+    ``extract`` holds none, and the interpreter's table, grown or churned by
+    them, only took memory."""
+    table: dict[str, str] = {}
+    return [TokenStream(s.doc_id, tuple(map(table.setdefault, s.tokens, s.tokens))) for s in streams]

@@ -140,7 +140,8 @@ def fit_pca(vectors: Sequence[np.ndarray]) -> PcaBasis:
     inner = np.empty((len(rows), len(rows)))
     for i, row in enumerate(rows):  # one triangle; dot(a, b) and dot(b, a) have the same bits
         inner[i, i:] = inner[i:, i] = _dots(row, rows[i:])
-    if not inner.any():
+    # the points themselves, as a mean that does not round back to them leaves rounding noise
+    if (X == X[0]).all() or not inner.any():
         raise ValueError("all points are identical; covariance is zero")
     eigenvalues, eigenvectors = _top_two(inner)
     rank = 2 if eigenvalues[1] > len(rows) * _EPS * eigenvalues[0] else 1

@@ -148,9 +148,26 @@ class TestIngest:
         write_corpus(corpus)
         bad.write_bytes(b"id,industry,year,title,abstract\nP1,m,2018,t,caf\xc3(\n" if name == "c.csv"
                         else b"method\ncaf\xc3(\n")
-        argv = ["ingest", "--input", str(corpus), "--tokens-out", str(tmp_path / "t.jsonl"), flag, str(bad)]
+        out, tokens = tmp_path / "norm.jsonl", tmp_path / "t.jsonl"
+        argv = ["ingest", "--input", str(corpus), "--out", str(out), "--tokens-out", str(tokens), flag, str(bad)]
         assert main(argv) == EXIT_FAILURE
         assert f"{bad}:2: 'utf-8' codec can't decode byte 0xc3" in caplog.text
+        assert not out.exists() and not tokens.exists()  # a bad list, too, leaves no output
+
+    def test_an_output_that_cannot_be_made_is_named(self, tmp_path, caplog):
+        # the output is written to a temporary file beside it, but the error names the output
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "missing" / "norm.jsonl"
+        write_corpus(corpus)
+        assert main(["ingest", "--input", str(corpus), "--out", str(out)]) == EXIT_FAILURE
+        assert caplog.messages[-1] == f"[Errno 2] No such file or directory: '{out}'"
+
+    def test_one_file_for_both_outputs_holds_the_tokens(self, tmp_path):
+        corpus, out, both = tmp_path / "c.jsonl", tmp_path / "t.jsonl", tmp_path / "both.jsonl"
+        write_corpus(corpus)
+        assert main(["ingest", "--input", str(corpus), "--tokens-out", str(out)]) == EXIT_OK
+        assert main(["ingest", "--input", str(corpus), "--out", str(both), "--tokens-out", str(both)]) == EXIT_OK
+        assert both.read_bytes() == out.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["both.jsonl", "c.jsonl", "t.jsonl"]
 
 
 class TestQuerySubcommand:

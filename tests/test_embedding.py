@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trendlens import embedding
+from trendlens import cli, embedding
+from trendlens.corpus import PatentDocument, save_corpus
 from trendlens.embedding import (
     EmbeddingModel,
     ModelFormatError,
@@ -597,6 +598,43 @@ class TestAllocatesOnlyWhatItTouches:
         assert full.read_bytes() == (
             b"trendlens-w2v 1 2 2 3\na 0.1 1e-300\nb -7.5 2.0\n#output\na 0.0 0.0\nb 0.0 0.0\n"
         )
+
+
+class TestStagesHoldOneDocument:
+    """``ingest``, ``query`` and ``extract`` hold one document at a time plus
+    the ids seen so far: from N documents to 10N their peak grows by far less
+    than the documents take.  Each document's record is ~300 bytes of JSON and
+    its stream 40 tokens; holding them took ~1,000-1,300 bytes per document."""
+
+    LEXICON = [f"w{i:03d}" for i in range(300)]
+    BYTES_PER_DOCUMENT = 400  # the id set and bounded interpreter free lists
+
+    def corpus(self, path, n):
+        rng = np.random.default_rng(n)
+        save_corpus([PatentDocument(f"P{i}", f"industry{i % 4}", 2018, "title",
+                                    " ".join(rng.choice(self.LEXICON, 40).tolist())) for i in range(n)], path)
+
+    def test_peak_does_not_grow_with_the_documents(self, tmp_path):
+        vectors = np.random.default_rng(0).normal(size=(300, 8))
+        save_model(EmbeddingModel(Vocabulary(tuple(self.LEXICON)), vectors, vectors, seed=1), tmp_path / "m.w2v")
+        (tmp_path / "stop.txt").write_text("title\n", encoding="utf-8")
+        peaks = {}
+        for n in (100, 1000):
+            corpus, tokens = tmp_path / f"c{n}.jsonl", tmp_path / f"t{n}.jsonl"
+            self.corpus(corpus, n)
+            runs = {
+                "ingest": ["ingest", "--input", str(corpus), "--out", str(tmp_path / "norm.jsonl"),
+                           "--tokens-out", str(tokens), "--base-stopwords", str(tmp_path / "stop.txt")],
+                "query": ["query", "--input", str(corpus), "--query", "w001", "--out", str(tmp_path / "q.jsonl")],
+                "extract": ["extract", "--input", str(tokens), "--model", str(tmp_path / "m.w2v"),
+                            "--out", str(tmp_path / "k.csv")],
+            }
+            for stage, argv in runs.items():
+                code, peaks[stage, n] = traced_peak(cli.main, argv)
+                assert code == 0, stage
+        for stage in ("ingest", "query", "extract"):
+            growth = peaks[stage, 1000] - peaks[stage, 100]
+            assert growth < 900 * self.BYTES_PER_DOCUMENT, (stage, peaks[stage, 100], peaks[stage, 1000])
 
 
 class TestTrainConfigValidation:

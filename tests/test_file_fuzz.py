@@ -6,6 +6,10 @@ error type naming ``path:line``, and then the CLI stage that reads it exits 1
 logging that same message.  The mutations: truncation at any byte (so also
 inside a multibyte character), a dropped field, a mistyped value, NaN or
 infinity, a repeated id, a BOM, other line ends, and an unterminated quote.
+
+The ``.w2v`` and docvec fuzzers follow the same form with their own
+mutations, and the streamed stages (``ingest``, ``query``, ``extract``) are
+fuzzed with one fault at a drawn line of their input.
 """
 
 import csv
@@ -19,14 +23,19 @@ from itertools import accumulate
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from trendlens import cli
 from trendlens.cli import EXIT_FAILURE, main
 from trendlens.corpus import CorpusError, PatentDocument, load_corpus, save_corpus, Corpus
+from trendlens.embedding import (
+    EmbeddingModel, ModelFormatError, Vocabulary, load_document_vectors, load_model, save_document_vectors, save_model
+)
 from trendlens.keywords import ExtractionResult, KeywordScore, load_extractions, save_extractions
 from trendlens.pipeline import _safe_name, plot_projection
-from trendlens.textprep import _write_csv
+from trendlens.textprep import _write_csv, load_token_streams
 
 _MUTATIONS = ["truncate", "drop_field", "wrong_type", "nan", "repeat_id", "bom", "line_ends", "open_quote"]
 _NON_FINITE = ["nan", "NaN", "inf", "-inf", "Infinity"]
@@ -324,3 +333,241 @@ class TestProjectionCsvFuzz:
             assert path.read_bytes() == b"".join(map(_csv_row, table))
             argv = ["plot", "--projection", str(path), "--out-dir", str(Path(tmp) / "out")]
             check(path, outcome, _plotted, lambda keep: drawn(rows[:keep]), ValueError, argv)
+
+
+# ---- streamed stages
+
+_STAGE_FAULTS = {
+    "jsonl": ["bad_json", "drop_field", "repeat_id", "empty_industry", "bad_byte"],
+    "csv": ["drop_field", "repeat_id", "empty_industry", "bad_byte"],
+    "tokens": ["bad_json", "drop_field", "repeat_id", "bad_byte", "bad_token"],
+}
+_STAGE_WORDS = ["alpha", "beta", "gamma", "delta", "épée", "日本"]
+_STAGE_OUTPUTS = {"ingest": ["out.jsonl", "tokens.jsonl"], "query": ["out.jsonl"], "extract": ["k.csv"]}
+
+
+def stage_input(kind: str, docs: list[PatentDocument], fault: str | None = None, i: int = 0):
+    """A corpus (``jsonl``, ``csv``) or tokens file of ``docs``, with ``fault``
+    in record ``i``: its bytes, the line of the fault and the start of the
+    message a reader gives there after ``path:line: ``."""
+    if kind == "tokens":
+        records = [{"id": d.id, "tokens": d.abstract.split()} for d in docs]
+    else:
+        records = [{f: getattr(d, f) for f in _CORPUS_FIELDS} for d in docs]
+    record, line = records[i], i + 1 + (kind == "csv")
+    message = {
+        None: None,
+        "bad_json": "invalid JSON: ",
+        "drop_field": {"jsonl": "missing field(s) industry", "csv": "expected exactly 5 fields",
+                       "tokens": "expected keys 'id' and 'tokens'"}[kind],
+        "repeat_id": f"duplicate id {records[0]['id']!r}",
+        "empty_industry": f"document {record['id']!r}: industry must be non-empty",
+        "bad_byte": ("" if kind == "csv" else "invalid JSON: ") + "'utf-8' codec can't decode byte 0xff in position",
+        "bad_token": "token 'Beta' is not lowercase alphanumeric",
+    }[fault]
+    if fault == "drop_field":
+        del record["tokens" if kind == "tokens" else "industry"]
+    elif fault == "repeat_id":
+        record["id"] = records[0]["id"]
+    elif fault == "empty_industry":
+        record["industry"] = ""
+    elif fault == "bad_token":
+        record["tokens"].append("Beta")
+    if kind == "csv":
+        lines = [_csv_row(_CORPUS_FIELDS)] + [_csv_row([str(r[f]) for f in _CORPUS_FIELDS if f in r]) for r in records]
+    else:
+        lines = [json.dumps(r, ensure_ascii=False).encode() + b"\n" for r in records]
+    if fault == "bad_json":  # the record cut before its closing characters
+        lines[line - 1] = lines[line - 1][:-3] + b"\n"
+    elif fault == "bad_byte":
+        lines[line - 1] = lines[line - 1].replace(b"alpha", b"al\xffpha", 1)
+    return b"".join(lines), line, message
+
+
+class TestStreamedStageFaults:
+    """``ingest``, ``query`` and ``extract`` read their input one record at a
+    time and write each output to a file beside it that is renamed into place
+    only on success.  A fault at any line fails with the whole-file reader's
+    ``path:line`` message and exit 1, and leaves no output, no temporary file
+    and any output that was there before as it was; a query that matches
+    nothing fails as such once the whole input is read."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(_STAGE_WORDS), max_size=5), min_size=2, max_size=6),
+           st.sampled_from(["ingest-jsonl", "ingest-csv", "query-jsonl", "query-csv", "extract-tokens"]),
+           st.data())
+    def test_a_fault_names_its_line_and_leaves_no_output(self, abstracts, case, data):
+        stage, kind = case.split("-")
+        docs = [PatentDocument(f"P{i}", "medical", 2018, "t", " ".join(["alpha", *words]))
+                for i, words in enumerate(abstracts)]
+        fault = data.draw(st.sampled_from([*_STAGE_FAULTS[kind], None]))
+        # a first record without its 'tokens' key marks no tokens file, so it is read as a corpus
+        first = fault == "repeat_id" or (kind, fault) == ("tokens", "drop_field")
+        i = data.draw(st.integers(1 if first else 0, len(docs) - 1))
+        matches = stage != "query" or data.draw(st.booleans())
+        existing = data.draw(st.booleans())
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            path = tmp / ("in.csv" if kind == "csv" else "in.jsonl")
+            content, line, message = stage_input(kind, docs, fault, i)
+            path.write_bytes(content)
+            (tmp / "stop.txt").write_text("the\n", encoding="utf-8")
+            vectors = np.arange(1.0, 13.0).reshape(6, 2)
+            save_model(EmbeddingModel(Vocabulary(tuple(_STAGE_WORDS)), vectors, vectors, seed=1), tmp / "m.w2v")
+            if existing:
+                for name in _STAGE_OUTPUTS[stage]:
+                    (tmp / name).write_bytes(b"earlier " + name.encode())
+            argv = {
+                "ingest": ["ingest", "--input", str(path), "--out", str(tmp / "out.jsonl"),
+                           "--tokens-out", str(tmp / "tokens.jsonl"), "--base-stopwords", str(tmp / "stop.txt")],
+                "query": ["query", "--input", str(path), "--query", "alpha" if matches else "zeta",
+                          "--out", str(tmp / "out.jsonl")],
+                "extract": ["extract", "--input", str(path), "--model", str(tmp / "m.w2v"), "--out", str(tmp / "k.csv")],
+            }[stage]
+            before = {p.name: p.read_bytes() for p in tmp.iterdir()}
+            with patch.object(cli.log, "error") as logged:
+                code = main(argv)
+            after = {p.name: p.read_bytes() for p in tmp.iterdir()}
+            if fault is None and matches:
+                assert code == 0 and set(after) == {*before, *_STAGE_OUTPUTS[stage]}
+                if stage != "extract":
+                    assert after["out.jsonl"] == _jsonl([json.dumps({f: getattr(d, f) for f in _CORPUS_FIELDS},
+                                                                    ensure_ascii=False) for d in docs])
+                return
+            assert code == EXIT_FAILURE
+            logged_message = str(logged.call_args.args[1])
+            if fault is None:
+                assert logged_message == "query matched no documents"
+            else:
+                assert logged_message.startswith(f"{path}:{line}: {message}"), logged_message
+                with pytest.raises(ValueError) as whole:
+                    (load_token_streams if kind == "tokens" else load_corpus)(path)
+                assert str(whole.value) == logged_message
+            assert after == before  # no output, no temporary file, and earlier outputs unchanged
+
+
+# ---- model and docvec rows
+
+# the whitespace a row may hold between its values: str.split()'s, as one
+# space is what the writers put there
+_SEPARATORS = ["\t", "\x0b", "\x1c", "\x85", "\xa0", "　"]
+_ROW_MUTATIONS = ["cut_character", "drop_value", "non_finite", "repeat_label", "bom", "crlf", "separator"]
+
+
+def mutate_rows(lines: list[str], labels: list[str], dim: int, what: str, draw):
+    """One mutation of the model or docvec file of header and row ``lines``,
+    whose labels are ``what`` (word, doc): its bytes, the start of the message
+    a load fails with after ``path: `` or ``path:line: ``, and that line; no
+    message for a file that loads the rows it was written with."""
+    kind = draw(st.sampled_from(_ROW_MUTATIONS))
+    data = "".join(lines).encode()
+    if kind == "cut_character":  # at a continuation byte, inside a multibyte character
+        cut = draw(st.sampled_from([i for i, byte in enumerate(data) if 0x80 <= byte < 0xC0]))
+        return data[:cut], "'utf-8' codec can't decode byte", data[:cut].count(b"\n") + 1
+    if kind == "bom":
+        return "\ufeff".encode() + data, "bad header", None
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n"), None, None
+    r = draw(st.integers(1, len(labels)))
+    fields, label = lines[r].rstrip("\n").split(" "), labels[r - 1]
+    if kind == "separator":
+        k = draw(st.integers(0, dim - 1))
+        fields[k] += draw(st.sampled_from(_SEPARATORS)) + fields.pop(k + 1)
+        message = None
+    elif kind == "drop_value":
+        del fields[draw(st.integers(1, dim))]
+        message = f"{what} {label!r}: expected {dim} values, got {dim - 1}"
+    elif kind == "non_finite":
+        fields[draw(st.integers(1, dim))] = draw(st.sampled_from(_NON_FINITE))
+        message = f"{what} {label!r}: non-finite value"
+    elif r == 1:  # repeat_label, which the first row cannot
+        return data, None, None
+    else:  # repeat_label: an earlier row's
+        fields[0] = labels[draw(st.integers(0, r - 2))]
+        message = f"duplicate {what} {fields[0]!r}"
+    lines = lines[:r] + [" ".join(fields) + "\n"] + lines[r + 1:]
+    return "".join(lines).encode(), message, None
+
+
+_ROWS = st.integers(1, 3).flatmap(lambda dim: st.lists(
+    st.tuples(st.text("abzé", max_size=3),
+              st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim)),
+    min_size=1, max_size=5))
+
+
+def _labelled(rows) -> tuple[list[str], np.ndarray]:
+    """Unique labels (a word, then the row's index; the first holds a three-byte character) and the matrix."""
+    labels = [("日" if i == 0 else "") + f"{word}{i}" for i, (word, _) in enumerate(rows)]
+    return labels, np.array([values for _, values in rows], dtype=np.float64)
+
+
+def check_rows(path: Path, data: bytes, message, line, load, argv: list) -> None:
+    """``load(path)`` of ``data`` fails with ``path`` (and ``line``), then
+    ``message``, and the CLI stage ``argv`` exits 1 logging the same error;
+    with no ``message`` nothing is checked here."""
+    path.write_bytes(data)
+    if message is None:
+        return
+    with pytest.raises(ModelFormatError) as failed:
+        load(path)
+    error = str(failed.value)
+    assert error.startswith(f"{path}{'' if line is None else f':{line}'}: {message}"), error
+    with patch.object(cli.log, "error") as logged:
+        assert main(argv) == EXIT_FAILURE
+    assert str(logged.call_args.args[1]) == error
+
+
+class TestModelFileFuzz:
+    """A mutated ``.w2v`` file fails with its documented message, naming
+    the file and the word (a bad byte: the file and line), and ``extract``
+    exits 1 logging it; or it loads the rows it was written with, in full
+    or only those of a set of words.  CRLF line ends and any whitespace
+    ``str.split()`` knows between values load."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ROWS, st.data())
+    def test_mutated_model_loads_or_fails_as_documented(self, rows, data):
+        labels, matrix = _labelled(rows)
+        dim = matrix.shape[1]
+        keep = data.draw(st.sets(st.sampled_from(labels))) if data.draw(st.booleans()) else None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.w2v"
+            save_model(EmbeddingModel(Vocabulary(tuple(labels)), matrix, matrix, seed=4), path)
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            mutated, message, line = mutate_rows(lines, labels, dim, "word", data.draw)
+            tokens = Path(tmp) / "t.jsonl"
+            tokens.write_text(json.dumps({"id": "D", "tokens": sorted(keep or labels)}, ensure_ascii=False) + "\n",
+                              encoding="utf-8")
+            argv = ["extract", "--input", str(tokens), "--model", str(path), "--out", str(Path(tmp) / "k.csv")]
+            check_rows(path, mutated, message, line, lambda p: load_model(p, keep), argv)
+            if message is None:
+                model = load_model(path, keep)
+                kept = [i for i, label in enumerate(labels) if keep is None or label in keep]
+                assert model.vocab.words == tuple(labels[i] for i in kept)
+                assert model.input_vectors.tobytes() == matrix[kept].tobytes()
+
+
+class TestDocvecFileFuzz:
+    """A mutated docvec file fails as a model file does, naming the doc id,
+    and ``extract --doc-vectors`` exits 1 logging it; or it loads its rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ROWS, st.data())
+    def test_mutated_docvec_loads_or_fails_as_documented(self, rows, data):
+        labels, matrix = _labelled(rows)
+        dim = matrix.shape[1]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, words = Path(tmp) / "d.vec", Path(tmp) / "w.w2v"
+            save_document_vectors(dict(zip(labels, matrix)), path)
+            save_model(EmbeddingModel(Vocabulary(("w",)), np.ones((1, dim)), np.ones((1, dim)), seed=1), words)
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            mutated, message, line = mutate_rows(lines, labels, dim, "doc", data.draw)
+            tokens = Path(tmp) / "t.jsonl"
+            tokens.write_text(json.dumps({"id": "D", "tokens": ["w"]}) + "\n", encoding="utf-8")
+            argv = ["extract", "--input", str(tokens), "--doc-vectors", str(path), "--word-vectors", str(words),
+                    "--out", str(Path(tmp) / "k.csv")]
+            check_rows(path, mutated, message, line, load_document_vectors, argv)
+            if message is None:
+                vectors, loaded_dim = load_document_vectors(path)
+                assert loaded_dim == dim and list(vectors) == labels
+                assert np.array(list(vectors.values())).tobytes() == matrix.tobytes()

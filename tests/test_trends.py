@@ -293,6 +293,15 @@ class TestPca:
         with pytest.raises(ValueError, match="identical"):
             fit_pca(np.ones((5, 4)))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_identical_points_rejected_when_their_mean_does_not_round_back(self, seed):
+        # the mean of three 0.1s is not 0.1, so the centered points are
+        # rounding noise, not zeros; so is it for about half of random rows
+        row = np.random.default_rng(seed).normal(size=5)
+        for points in (np.full((3, 4), 0.1), np.tile(row, (3, 1))):
+            with pytest.raises(ValueError, match="all points are identical"):
+                fit_pca(points)
+
 
 def eigh_pca(X):
     """The reference PCA: LAPACK's eigendecomposition of the sample
