@@ -12,13 +12,14 @@ import argparse
 import logging
 import os
 import sys
+from collections import Counter, deque
 from pathlib import Path
 from typing import Iterator
 
 from . import __version__
 from .corpus import FORMATS, _documents, _document_record, load_corpus, save_corpus
 from .embedding import MODES, TrainConfig, load_model, save_model, train
-from .keywords import FileEmbedder, ReferenceEmbedder, load_extractions
+from .keywords import FileEmbedder, ReferenceEmbedder, load_extractions, save_extractions
 from .pipeline import (
     _FLAG_TYPES,
     _RANGES,
@@ -32,7 +33,6 @@ from .pipeline import (
     _extract,
     _prep_streams,
     _query,
-    _stopwords,
     _train_config,
     _unused_training,
     analyze_extractions,
@@ -52,7 +52,6 @@ from .textprep import (
     _token_streams,
     filter_stopwords,
     load_stopword_list,
-    tokenize,
 )
 from .trends import DEFAULT_TOP_K
 
@@ -141,17 +140,21 @@ def _input_streams(args) -> Iterator[TokenStream]:
 def cmd_ingest(args) -> int:
     if not args.tokens_out and (args.base_stopwords or args.extra_stopwords):
         raise ValueError("flags: stopword lists are unused without --tokens-out")
-    stop = _stopwords(args.base_stopwords, args.extra_stopwords) if args.tokens_out else None
-    count, industries = 0, set()
+    industries = Counter()
     # one document at a time; the tokens file is renamed into place last, as it was written last
     with _json_lines_out(args.tokens_out) as put_stream, _json_lines_out(args.out) as put_document:
-        for doc in _documents(args.input, args.format):
-            count += 1
-            industries.add(doc.industry)
-            put_document(_document_record(doc))
-            if stop is not None:  # a stream written and dropped: interning it would only churn the table
-                put_stream(_stream_record(filter_stopwords(TokenStream(doc.id, tuple(tokenize(doc.abstract))), stop)))
-    log.info("loaded %d documents (%d industries)", count, len(industries))
+        def documents():
+            for doc in _documents(args.input, args.format):
+                industries[doc.industry] += 1
+                put_document(_document_record(doc))
+                yield doc
+
+        if args.tokens_out:
+            for stream in _prep_streams(documents(), args.base_stopwords, args.extra_stopwords):
+                put_stream(_stream_record(stream))
+        else:
+            deque(documents(), maxlen=0)
+    log.info("loaded %d documents (%d industries)", industries.total(), len(industries))
     return EXIT_OK
 
 
@@ -163,7 +166,7 @@ def cmd_query(args) -> int:
 def cmd_stopwords(args) -> int:
     if args.model:
         _unused_training(k for k, v in vars(args).items() if v is not None)
-    streams = list(_prep_streams(_documents(args.input, args.format), args.base_stopwords, ()))
+    streams = _interned(_prep_streams(_documents(args.input, args.format), args.base_stopwords, ()))
     model = (load_model(args.model, {t for s in streams for t in s.tokens}) if args.model
              else train(streams, _flag_train_config(args)))
     _candidates(streams, model, args.out, args.top_k, args.top_n)
@@ -172,7 +175,7 @@ def cmd_stopwords(args) -> int:
 
 def cmd_train(args) -> int:
     config = _flag_train_config(args)
-    model = train(_interned(_input_streams(args)), config)  # a tokens file's streams come uninterned
+    model = train(_interned(_input_streams(args)), config)
     save_model(model, args.out, full=args.full)
     log.info("trained %d-word, %d-d model -> %s", len(model.vocab), model.dim, args.out)
     return EXIT_OK
@@ -189,7 +192,7 @@ def cmd_extract(args) -> int:
         embedder = ReferenceEmbedder(load_model(args.model, tokens))
     else:
         embedder = FileEmbedder.from_files(args.doc_vectors, args.word_vectors, tokens)
-    _extract(_input_streams(args), embedder, args.top_n, args.out)
+    save_extractions(_extract(_input_streams(args), embedder, args.top_n), args.out)
     return EXIT_OK
 
 

@@ -14,7 +14,6 @@ import dataclasses
 import json
 import logging
 import math
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -30,6 +29,7 @@ from .textprep import (
     StopwordList,
     TokenStream,
     _csv_table,
+    _interned,
     _json_object,
     _text_lines,
     _write_csv,
@@ -194,16 +194,16 @@ def _stopwords(base: str | None, extras: Iterable[str]) -> StopwordList:
 def _prep_streams(
     documents: Iterable[PatentDocument], base: str | None, extras: Iterable[str]
 ) -> Iterator[TokenStream]:
-    """The interned token stream of each document, made as it is drawn; the
-    stopword lists (see :func:`_stopwords`) are read at the call, before any
-    document.
+    """The token stream of each document, made as it is drawn; the stopword
+    lists (see :func:`_stopwords`) are read at the call, before any document.
+    A stage that holds the streams wraps them in :func:`_interned`.
 
     Kept private so that the perfbench tracer, which wraps public
     functions only, still sees tokenize and filter_stopwords as called by
     run_pipeline or the CLI handler and counts them as the text stage.
     """
     stop = _stopwords(base, extras)
-    return (filter_stopwords(TokenStream(d.id, tuple(map(sys.intern, tokenize(d.abstract)))), stop) for d in documents)
+    return (filter_stopwords(TokenStream(d.id, tuple(tokenize(d.abstract))), stop) for d in documents)
 
 
 def _candidates(
@@ -215,27 +215,17 @@ def _candidates(
     log.info("wrote %d candidates to %s", len(candidates), path)
 
 
-def _extract(
-    streams: Iterable[TokenStream], embedder: Embedder, top_n: int, path: str | Path, keep: bool = False
-) -> list[ExtractionResult]:
-    """Extract each stream's keywords into ``path`` and log how many
-    documents had nothing to score.  With ``keep`` the results are made,
-    held and returned before any is written; without it each is written as
-    it is made and none is held.  Private for the reason :func:`_prep_streams` is."""
-    results = (extract_keywords(s, embedder, top_n) for s in streams)
-    held = list(results) if keep else []
+def _extract(streams: Iterable[TokenStream], embedder: Embedder, top_n: int) -> Iterator[ExtractionResult]:
+    """Each stream's keywords, extracted as it is drawn; after the last one
+    the documents that had nothing to score are counted in the log.
+    Private for the reason :func:`_prep_streams` is."""
     skipped = 0
-
-    def counted(results):
-        nonlocal skipped
-        for result in results:
-            skipped += result.warning is not None
-            yield result
-
-    save_extractions(counted(held if keep else results), path)
+    for stream in streams:
+        result = extract_keywords(stream, embedder, top_n)
+        skipped += result.warning is not None
+        yield result
     if skipped:
         log.warning("%d document(s) had no scoreable keywords", skipped)
-    return held
 
 
 def resolve_config(
@@ -574,7 +564,7 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
         corpus = stage("query", lambda docs: Corpus(tuple(_query(docs, config.query))), corpus)
 
     streams = stage(
-        "stopwords", lambda: list(_prep_streams(corpus, config.base_stopwords, config.extra_stopwords))
+        "stopwords", lambda: _interned(_prep_streams(corpus, config.base_stopwords, config.extra_stopwords))
     )
     if config.model:
         words = _lookups((t for s in streams for t in s.tokens), corpus, config.anchors)
@@ -600,9 +590,8 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
             model.train_tokens,
         )
 
-    results = stage(
-        "extract", _extract, streams, ReferenceEmbedder(model), config.top_n, out_dir / "keywords.csv", keep=True
-    )
+    results = stage("extract", lambda: list(_extract(streams, ReferenceEmbedder(model), config.top_n)))
+    stage("extract", save_extractions, results, out_dir / "keywords.csv")
 
     # the rows the analysis reads, copied so the full matrix is freed before PCA
     words = stage("analyze", _analysis_words, results, corpus, config.top_percent, config.anchors)

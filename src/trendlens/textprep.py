@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
 import re
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import count, filterfalse, repeat
+from itertools import count, filterfalse
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -68,11 +70,24 @@ _TEMP_IDS = count()  # one temporary name per output of a process, even for one 
 
 @contextmanager
 def _replacing(path, newline=None):
-    """A UTF-8 text file open on a new file beside ``path``, renamed over
-    ``path`` when the block ends and removed when it raises, so a failed
-    write leaves no output and any earlier ``path`` as it was."""
-    path = Path(path)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.{next(_TEMP_IDS)}.tmp")
+    """A UTF-8 text file open for the output ``path``.  An output that is a
+    regular file or missing is written to a new file beside it (beside a
+    symlink's target), renamed over it with its mode when the block ends and
+    removed when the block raises, so a failed write leaves no output and any
+    earlier ``path`` as it was.  Any other output, such as ``/dev/null`` or a
+    FIFO, is opened and written in place."""
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:  # missing, or unreachable: the temporary file's open names the fault
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        return
+    if mode is not None and not os.access(path, os.W_OK):  # as opening it for writing would fail
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+    target = Path(os.path.realpath(path))
+    temp = target.with_name(f".{target.name}.{os.getpid()}.{next(_TEMP_IDS)}.tmp")
     try:
         fh = open(temp, "w", encoding="utf-8", newline=newline)
     except OSError as exc:  # named as the output, not its temporary file
@@ -80,7 +95,9 @@ def _replacing(path, newline=None):
     try:
         with fh:
             yield fh
-        os.replace(temp, path)
+        if mode is not None:
+            os.chmod(temp, stat.S_IMODE(mode))
+        os.replace(temp, target)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
@@ -149,8 +166,8 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class TokenStream:
-    """Ordered lowercase tokens of one document's analysis text; interned where this package
-    tokenizes a text, and where it holds the streams of a tokens file (see :func:`_interned`)."""
+    """Ordered lowercase tokens of one document's analysis text; where this package holds many
+    streams, each distinct token is one string object (see :func:`_interned`)."""
 
     doc_id: str
     tokens: tuple[str, ...]
@@ -249,13 +266,10 @@ def _token_streams(path) -> Iterator[TokenStream]:
         if doc_id in seen:
             raise ValueError(f"{where}: duplicate id {doc_id!r}")
         seen.add(doc_id)
-        if not isinstance(tokens, list) or not all(map(isinstance, tokens, repeat(str))):
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise ValueError(f"{where}: 'tokens' must be a list of strings")
-        # the rule holds for every token when none is empty and it holds for their join,
-        # which one call per test checks; only a failing record is searched for its bad token
-        joined = "".join(tokens)
-        if not (all(tokens) and (joined.isalnum() or not joined) and joined == joined.lower()):
-            bad = next(t for t in tokens if not (t.isalnum() and t == t.lower()))
+        bad = next((t for t in tokens if not (t.isalnum() and t == t.lower())), None)
+        if bad is not None:
             raise ValueError(f"{where}: token {bad!r} is not lowercase alphanumeric")
         yield TokenStream(doc_id, tuple(tokens))
 
@@ -263,8 +277,8 @@ def _token_streams(path) -> Iterator[TokenStream]:
 def _interned(streams: Iterable[TokenStream]) -> list[TokenStream]:
     """``streams`` as a list in which each distinct token is one string
     object, so that a word many streams hold is stored once.  The table is
-    the call's own: :func:`_token_streams` leaves its streams uninterned, as
-    ``extract`` holds none, and the interpreter's table, grown or churned by
-    them, only took memory."""
+    the call's own and freed on return, where the interpreter's table that
+    ``sys.intern`` fills never shrinks.  Streams that are made and dropped,
+    as ``ingest`` and ``extract`` make them, need no interning."""
     table: dict[str, str] = {}
     return [TokenStream(s.doc_id, tuple(map(table.setdefault, s.tokens, s.tokens))) for s in streams]

@@ -133,6 +133,9 @@ def fit_pca(vectors: Sequence[np.ndarray]) -> PcaBasis:
         raise ValueError("PCA needs at least 3 vectors")
     if X.shape[1] < 2:
         raise ValueError("PCA needs dimension >= 2")
+    # the points themselves, as a mean that does not round back to them leaves rounding noise
+    if (X == X[0]).all():
+        raise ValueError("all points are identical; covariance is zero")
     k, D = X.shape
     mean = X.mean(axis=0)
     centered = X - mean
@@ -140,8 +143,7 @@ def fit_pca(vectors: Sequence[np.ndarray]) -> PcaBasis:
     inner = np.empty((len(rows), len(rows)))
     for i, row in enumerate(rows):  # one triangle; dot(a, b) and dot(b, a) have the same bits
         inner[i, i:] = inner[i:, i] = _dots(row, rows[i:])
-    # the points themselves, as a mean that does not round back to them leaves rounding noise
-    if (X == X[0]).all() or not inner.any():
+    if not inner.any():  # distinct points closer than ~1e-154, whose squared differences underflow
         raise ValueError("all points are identical; covariance is zero")
     eigenvalues, eigenvectors = _top_two(inner)
     rank = 2 if eigenvalues[1] > len(rows) * _EPS * eigenvalues[0] else 1

@@ -2,7 +2,9 @@ import argparse
 import csv
 import inspect
 import json
+import os
 import re
+import stat
 import warnings
 from pathlib import Path
 
@@ -168,6 +170,58 @@ class TestIngest:
         assert main(["ingest", "--input", str(corpus), "--out", str(both), "--tokens-out", str(both)]) == EXIT_OK
         assert both.read_bytes() == out.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["both.jsonl", "c.jsonl", "t.jsonl"]
+
+
+
+class TestOutputsRenamedIntoPlace:
+    """A regular or missing output is written beside it and renamed over it; anything else is written in place."""
+
+    def test_dev_null_is_written_through(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus)
+        before = os.stat("/dev/null")
+        replace = os.replace
+
+        def guarded(src, dst):  # renaming over /dev/null would replace the device node
+            assert not str(dst).startswith("/dev/"), dst
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", guarded)
+        assert main(["ingest", "--input", str(corpus), "--out", "/dev/null", "--tokens-out", "/dev/null"]) == EXIT_OK
+        after = os.stat("/dev/null")
+        assert stat.S_ISCHR(after.st_mode) and (after.st_ino, after.st_rdev) == (before.st_ino, before.st_rdev)
+        assert not [name for name in os.listdir("/dev") if name.startswith(".null.")]
+
+    def test_a_symlinked_output_updates_its_target(self, tmp_path):
+        corpus, plain, target = tmp_path / "c.jsonl", tmp_path / "plain.jsonl", tmp_path / "real.jsonl"
+        write_corpus(corpus)
+        (tmp_path / "links").mkdir()
+        link = tmp_path / "links" / "norm.jsonl"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main(["ingest", "--input", str(corpus), "--out", str(plain)]) == EXIT_OK
+        assert main(["ingest", "--input", str(corpus), "--out", str(link)]) == EXIT_OK
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == plain.read_bytes()
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.jsonl", "links", "norm.jsonl", "plain.jsonl", "real.jsonl"]
+
+    def test_an_output_keeps_its_mode(self, tmp_path):
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "norm.jsonl"
+        write_corpus(corpus)
+        out.write_text("old\n")
+        out.chmod(0o640)
+        assert main(["ingest", "--input", str(corpus), "--out", str(out)]) == EXIT_OK
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640 and out.read_text() != "old\n"
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
+    def test_a_read_only_output_is_refused(self, tmp_path, caplog):
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "norm.jsonl"
+        write_corpus(corpus)
+        out.write_text("old\n")
+        out.chmod(0o444)
+        assert main(["ingest", "--input", str(corpus), "--out", str(out)]) == EXIT_FAILURE
+        assert caplog.messages[-1] == f"[Errno 13] Permission denied: '{out}'"
+        assert out.read_text() == "old\n"
 
 
 class TestQuerySubcommand:
