@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import __version__
-from .corpus import FORMATS, _documents, _document_record, load_corpus, save_corpus
+from .corpus import _FIELDS, FORMATS, _documents, _document_record, load_corpus, save_corpus
 from .embedding import MODES, TrainConfig, load_model, save_model, train
 from .keywords import FileEmbedder, ReferenceEmbedder, load_extractions, save_extractions
 from .pipeline import (
@@ -115,17 +115,18 @@ def _input_streams(args) -> Iterator[TokenStream]:
     """Token streams from either a corpus file or a tokens JSONL file, made
     one at a time as they are drawn; the stopword lists are read at the call.
 
-    The kind comes from the first record: a JSON object with exactly the
-    keys 'id' and 'tokens' marks a tokens file.  Its streams were filtered
-    when they were written, so only the stopword lists given here
-    explicitly are applied again.  Anything else is read as a corpus, then
-    tokenized and stopword-filtered.
+    The kind comes from the first record: a JSON object with a 'tokens'
+    key, or with none of the corpus fields 'industry', 'year', 'title' and
+    'abstract', marks a tokens file, and the tokens reader names any fault
+    in it.  Its streams were filtered when they were written, so only the
+    stopword lists given here explicitly are applied again.  Anything else
+    is read as a corpus, then tokenized and stopword-filtered.
     """
     try:
         record = next(_json_lines(args.input), (None, None))[1]
     except ValueError:  # not JSONL, or bad at its first record: the corpus reader names the fault
         record = None
-    if isinstance(record, dict) and set(record) == {"id", "tokens"}:
+    if isinstance(record, dict) and ("tokens" in record or record.keys().isdisjoint(set(_FIELDS) - {"id"})):
         streams = _token_streams(args.input)
         lists = [load_stopword_list(args.base_stopwords)] if args.base_stopwords else []
         lists += [load_stopword_list(path) for path in args.extra_stopwords]
@@ -176,7 +177,7 @@ def cmd_stopwords(args) -> int:
 def cmd_train(args) -> int:
     config = _flag_train_config(args)
     model = train(_interned(_input_streams(args)), config)
-    save_model(model, args.out, full=args.full)
+    save_model(model, args.out)
     log.info("trained %d-word, %d-d model -> %s", len(model.vocab), model.dim, args.out)
     return EXIT_OK
 
@@ -288,7 +289,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, metavar="FILE", help="corpus JSONL/CSV or tokens JSONL")
     p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--full", action="store_true", help="also store the output matrix")
     _add_stopword_flags(p)
     _add_train_flags(p)
     p.set_defaults(handler=cmd_train)

@@ -65,7 +65,6 @@ MODES = ("full_softmax", "negative_sampling")
 _MAGIC = "trendlens-w2v"
 _DOCVEC_MAGIC = "trendlens-docvec"
 _FORMAT_VERSION = "1"
-_OUTPUT_MARKER = "#output"
 _LR_FLOOR_FRACTION = 1e-4
 _NEGATIVE_POWER = 0.75
 # pairs per chunk of an epoch's shuffle; at 2048 a fixture run's peak RSS rose by 0.35 MiB
@@ -414,19 +413,13 @@ def _write_rows(fh, labels: Iterable[str], matrix) -> None:
         fh.write(label + " " + " ".join(map(repr, values)) + "\n")
 
 
-def save_model(model: EmbeddingModel, path: str | Path, full: bool = False) -> None:
-    """Write the model as text; floats use shortest round-trip repr.
-
-    By default only the input matrix (the word vectors) is stored; with
-    ``full=True`` a second block carries the output matrix so training
-    state survives the round trip.
-    """
+def save_model(model: EmbeddingModel, path: str | Path) -> None:
+    """Write the model's word vectors (its input matrix) as text; floats use
+    shortest round-trip repr.  The output matrix is training state, which no
+    reader needs, and is not stored."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_MAGIC} {_FORMAT_VERSION} {len(model.vocab)} {model.dim} {model.seed}\n")
         _write_rows(fh, model.vocab.words, model.input_vectors)
-        if full:
-            fh.write(_OUTPUT_MARKER + "\n")
-            _write_rows(fh, model.vocab.words, model.output_vectors)
 
 
 def _read_header(lines, path, magic: str, names: tuple[str, ...]) -> list[int]:
@@ -449,17 +442,18 @@ def _first_non_finite(rows: np.ndarray) -> int | None:
     return int(np.isfinite(rows).all(axis=1).argmin())
 
 
-def _read_rows(lines, n_rows, dim, path, block, what, keep=None):
-    """The next ``n_rows`` non-blank ``lines`` as labelled rows of ``dim``
-    finite floats, each line with its line ending; ``block`` and ``what``
-    name the block and the label kind in errors.  Assigning the strings to a
-    float64 row parses them exactly as float() does.  Returns every label in
-    file order, then the labels and matrix of the rows kept: all, or those
-    labelled in the set ``keep``.
+def _read_rows(text, n_rows, dim, path, block, what, keep=None):
+    """The rows of a file's ``text`` lines after its header: ``n_rows``
+    non-blank lines, each a label and ``dim`` finite floats ending with its
+    line ending, and then no non-blank line; ``block`` and ``what`` name the
+    block and the label kind in errors.  Assigning the strings to a float64
+    row parses them exactly as float() does.  Returns the labels and matrix
+    of the rows kept: all, or those labelled in the set ``keep``.
     Every row is checked, a dropped one in a small scratch block that is
     checked whenever it fills; a non-finite value fails after the loop, so a
     later row's syntax error comes first."""
-    labels, kept, seen = [], [], set()
+    lines = (line for line in text if line.strip())
+    kept, seen = [], {}  # the labels kept; every label in file order, with no row number (an int object each)
     matrix = np.empty((n_rows if keep is None else min(n_rows, len(keep)), dim))
     spare = np.empty((0 if keep is None else min(n_rows, _SPARE_ROWS), dim))
     dropped, bad = [], []  # the labels of the rows in spare; of rows found non-finite
@@ -470,7 +464,7 @@ def _read_rows(lines, n_rows, dim, path, block, what, keep=None):
         label, *values = line.split()
         if label in seen:
             raise ModelFormatError(f"{path}: duplicate {what} {label!r}")
-        seen.add(label)
+        seen[label] = None
         if len(values) != dim:
             raise ModelFormatError(
                 f"{path}: {what} {label!r}: expected {dim} values, got {len(values)}"
@@ -480,7 +474,6 @@ def _read_rows(lines, n_rows, dim, path, block, what, keep=None):
             rows[len(taken)] = values
         except ValueError:
             raise ModelFormatError(f"{path}: {what} {label!r}: malformed float") from None
-        labels.append(label)
         taken.append(label)
         if dropped and (len(dropped) == len(spare) or n == n_rows - 1):
             if (row := _first_non_finite(spare[:len(dropped)])) is not None:
@@ -490,12 +483,16 @@ def _read_rows(lines, n_rows, dim, path, block, what, keep=None):
     if (row := _first_non_finite(matrix)) is not None:
         bad.append(kept[row])
     if bad:  # the first non-finite row in file order, kept or dropped
-        raise ModelFormatError(f"{path}: {what} {min(bad, key=labels.index)!r}: non-finite value")
-    return labels, kept, matrix
+        first = next(label for label in seen if label in bad)
+        raise ModelFormatError(f"{path}: {what} {first!r}: non-finite value")
+    if (extra := next(lines, None)) is not None:
+        raise ModelFormatError(f"{path}: unexpected extra line {extra.strip()!r}")
+    return kept, matrix
 
 
 def load_model(path: str | Path, words: Collection[str] | None = None) -> EmbeddingModel:
     """Read a model written by :func:`save_model`; vectors match bit for bit.
+    Its output matrix is a read-only view of zeros.
 
     With the set ``words``, only their rows are kept, in file order, and
     the vocabulary lists only them; every row is still read and checked.
@@ -505,17 +502,8 @@ def load_model(path: str | Path, words: Collection[str] | None = None) -> Embedd
         V, D, seed = _read_header(text, path, _MAGIC, ("V", "D", "seed"))
         if V < 1 or D < 1 or seed < 0:
             raise ModelFormatError(f"{path}: bad header (V={V}, D={D}, seed={seed})")
-        lines = (line for line in text if line.strip())
-        labels, kept, input_vectors = _read_rows(lines, V, D, path, "input", "word", words)
+        kept, input_vectors = _read_rows(text, V, D, path, "input", "word", words)
         output_vectors = np.broadcast_to(np.float64(0.0), input_vectors.shape)  # read-only zeros, no buffer
-        trailer = next(lines, None)
-        if trailer is not None and trailer.strip() == _OUTPUT_MARKER:
-            out_labels, _, output_vectors = _read_rows(lines, V, D, path, "output", "word", words)
-            if out_labels != labels:
-                raise ModelFormatError(f"{path}: output block word order differs from input block")
-            trailer = next(lines, None)
-        if trailer is not None:
-            raise ModelFormatError(f"{path}: unexpected extra line {trailer.strip()!r}")
     return EmbeddingModel(Vocabulary(tuple(kept)), input_vectors, output_vectors, seed, file_words=V)
 
 
@@ -554,9 +542,5 @@ def load_document_vectors(path: str | Path) -> tuple[dict[str, np.ndarray], int]
         n, dim = _read_header(text, path, _DOCVEC_MAGIC, ("N", "D"))
         if n < 0 or dim < (1 if n else 0):
             raise ModelFormatError(f"{path}: bad header (N={n}, D={dim})")
-        lines = (line for line in text if line.strip())
-        _, doc_ids, matrix = _read_rows(lines, n, dim, path, "document", "doc")
-        extra = next(lines, None)
-        if extra is not None:
-            raise ModelFormatError(f"{path}: unexpected extra line {extra.strip()!r}")
+        doc_ids, matrix = _read_rows(text, n, dim, path, "document", "doc")
     return dict(zip(doc_ids, matrix)), dim

@@ -274,7 +274,7 @@ def resolve_config(
         _unused_training(flags)
         env_seed = None  # nothing trains, so a bad TRENDLENS_SEED cannot fail the run
     if "corpus" not in values:
-        raise ValueError("config is missing the 'corpus' path")
+        raise ValueError(f"{config_path or 'flags'}: missing the 'corpus' path")
     train_values = {key: values.pop(key) for key in _TRAIN_TYPES if key in values}
     return PipelineConfig(**values, train=_train_config(train_values, env_seed))
 

@@ -51,6 +51,8 @@ class TestExitCodes:
         # full softmax's vocabulary cap is a constant, and --mode takes only a mode
         assert main(["train", "--input", "c.jsonl", "--out", "m.w2v", "--full-softmax-cap", "3"]) == EXIT_USAGE
         assert main(["train", "--input", "c.jsonl", "--out", "m.w2v", "--mode", "hier_softmax"]) == EXIT_USAGE
+        # a model file holds the word vectors alone, so the flag that added the output matrix is gone
+        assert main(["train", "--input", "c.jsonl", "--out", "m.w2v", "--full"]) == EXIT_USAGE
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -364,6 +366,22 @@ class TestTrainSubcommand:
             == EXIT_OK
         )
         assert "abstract" in {line.split()[0] for line in model.read_text().splitlines()[1:]}
+
+    @pytest.mark.parametrize("first, error", [
+        ({"id": "D0"}, "expected keys 'id' and 'tokens'"),
+        ({"id": "D0", "tokens": ["alpha"], "lang": "en"}, "expected keys 'id' and 'tokens'"),
+        ({"tokens": ["alpha"]}, "expected keys 'id' and 'tokens'"),
+        ({"id": "D0", "industry": "medical", "title": "t", "abstract": "alpha"}, "missing field(s) year"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "extract"])
+    def test_first_record_names_the_file_kind(self, tmp_path, caplog, first, error, command):
+        """A first record with a 'tokens' key, or with no corpus field but
+        'id', marks a tokens file; one with some corpus fields, a corpus."""
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(first) + '\n{"id": "D1", "tokens": ["alpha"]}\n')
+        argv = [command, "--input", str(path), "--out", str(tmp_path / "out"), "--model", str(tmp_path / "m.w2v")]
+        assert main(argv if command == "extract" else argv[:-2]) == EXIT_FAILURE
+        assert f"{path}:1: {error}" in caplog.text
 
 
     def test_stopword_flags_apply_to_tokens_file(self, tmp_path):

@@ -322,13 +322,15 @@ class TestTrain:
         config = TrainConfig(
             dim=4, window=2, epochs=3, min_count=1, mode="negative_sampling", negatives=2, seed=9
         )
-        paths = []
+        paths, outputs = [], []
         for run in range(2):
             model = train(streams, config)
             path = tmp_path / f"m{run}.w2v"
-            save_model(model, path, full=True)
+            save_model(model, path)
             paths.append(path)
+            outputs.append(model.output_vectors.tobytes())
         assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("mode", ["full_softmax", "negative_sampling"])
     def test_two_topic_separation(self, mode):
@@ -587,17 +589,15 @@ class TestAllocatesOnlyWhatItTouches:
 
     def test_loaded_output_matrix_is_read_only_zeros(self, tmp_path):
         rows = np.array([[0.1, 1e-300], [-7.5, 2.0]])
-        path, full = tmp_path / "m.w2v", tmp_path / "full.w2v"
+        path, again = tmp_path / "m.w2v", tmp_path / "again.w2v"
         save_model(EmbeddingModel(Vocabulary(("a", "b")), rows, -rows, seed=3), path)
         loaded = load_model(path)
         assert loaded.output_vectors.shape == (2, 2) and not loaded.output_vectors.any()
         assert not loaded.output_vectors.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             loaded.output_vectors[0, 0] = 1.0
-        save_model(loaded, full, full=True)
-        assert full.read_bytes() == (
-            b"trendlens-w2v 1 2 2 3\na 0.1 1e-300\nb -7.5 2.0\n#output\na 0.0 0.0\nb 0.0 0.0\n"
-        )
+        save_model(loaded, again)
+        assert again.read_bytes() == b"trendlens-w2v 1 2 2 3\na 0.1 1e-300\nb -7.5 2.0\n"
 
 
 class TestStagesHoldOneDocument:
@@ -705,22 +705,12 @@ class TestModelFiles:
         np.testing.assert_array_equal(loaded.input_vectors, model.input_vectors)
         assert loaded.seed == model.seed
 
-    def test_full_round_trip_includes_output(self, tmp_path):
-        model = self.make()
-        path = tmp_path / "m.w2v"
-        save_model(model, path, full=True)
-        loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.output_vectors, model.output_vectors)
-
     def test_exact_bytes(self, tmp_path):
         rows = np.array([[0.1, 1e-300], [-7.5, np.float32(0.1)]])
         model = EmbeddingModel(Vocabulary(("a", "b")), rows, -rows, seed=3)
         path = tmp_path / "m.w2v"
-        save_model(model, path, full=True)
-        assert path.read_bytes() == (
-            b"trendlens-w2v 1 2 2 3\na 0.1 1e-300\nb -7.5 0.10000000149011612\n"
-            b"#output\na -0.1 -1e-300\nb 7.5 -0.10000000149011612\n"
-        )
+        save_model(model, path)
+        assert path.read_bytes() == b"trendlens-w2v 1 2 2 3\na 0.1 1e-300\nb -7.5 0.10000000149011612\n"
 
     def test_header_parsed(self, tmp_path):
         path = tmp_path / "m.w2v"
@@ -759,20 +749,18 @@ class TestModelFiles:
             load_model(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("block", ["input", "output"])
-    def test_non_finite_value_names_path_and_word(self, tmp_path, value, block):
+    def test_non_finite_value_names_path_and_word(self, tmp_path, value):
         path = tmp_path / "m.w2v"
-        save_model(self.make(), path, full=True)
+        save_model(self.make(), path)
         lines = path.read_text().splitlines()
-        row = 2 if block == "input" else 2 + len(lines) // 2  # second word of the block
-        word, *values = lines[row].split()
+        word, *values = lines[2].split()  # the second word
         values[1] = value
-        lines[row] = " ".join([word, *values])
+        lines[2] = " ".join([word, *values])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelFormatError, match=re.escape(f"{path}: word '{word}': non-finite")):
             load_model(path)
 
-    @pytest.mark.parametrize("kind, block", [("model", "input"), ("full model", "output"), ("docvec", "document")])
+    @pytest.mark.parametrize("kind, block", [("model", "input"), ("docvec", "document")])
     def test_a_file_cut_inside_its_last_row_fails(self, tmp_path, kind, block):
         """A row ends with its line ending, so a file cut anywhere inside its
         last row, even inside the last value, fails rather than loading a
@@ -783,7 +771,7 @@ class TestModelFiles:
             save_document_vectors({"d1": rows[0], "d2": rows[1]}, path)
             load = load_document_vectors
         else:
-            save_model(EmbeddingModel(Vocabulary(("a", "b")), rows, -rows, seed=3), path, full=kind == "full model")
+            save_model(EmbeddingModel(Vocabulary(("a", "b")), rows, -rows, seed=3), path)
             load = load_model
         data = path.read_bytes()
         load(path)
@@ -811,14 +799,13 @@ class TestPartialLoads:
         words = tuple(f"w{i:02d}" for i in range(50))
         path = tmp_path / "m.w2v"
         inp, out = rng.normal(size=(50, 7)) * 10.0 ** rng.integers(-300, 300, (50, 7)), rng.normal(size=(50, 7))
-        save_model(EmbeddingModel(Vocabulary(words), inp, out, seed=2), path, full=True)
+        save_model(EmbeddingModel(Vocabulary(words), inp, out, seed=2), path)
         full = load_model(path)
         wanted = set(rng.choice(words, size=12, replace=False).tolist()) | {"absent", "other"}
         part = load_model(path, wanted)
         kept = [i for i, w in enumerate(words) if w in wanted]
         assert part.vocab.words == tuple(words[i] for i in kept)
         assert part.input_vectors.tobytes() == full.input_vectors[kept].tobytes()
-        assert part.output_vectors.tobytes() == full.output_vectors[kept].tobytes()
         assert (part.file_words, full.file_words, part.seed, part.dim) == (50, 50, 2, 7)
         assert load_model(path, set(words)).input_vectors.tobytes() == full.input_vectors.tobytes()
 
@@ -842,11 +829,7 @@ class TestPartialLoads:
         ("4 1\na 1.0\nb nan\nc inf\nd 2.0\n", "word 'b': non-finite value"),  # the first in file order
         ("3 1\na -inf\nb 1.0\nc nan\n", "word 'a': non-finite value"),
         ("3 1\na nan\nb 1.0\nc x\n", "word 'c': malformed float"),  # syntax errors come first
-        ("3 1\na 1.0\nb 2.0\nc 3.0\n#output\na 1.0\nb -inf\nc nan\n", "word 'b': non-finite value"),
-        ("3 1\na inf\nb 2.0\nc 3.0\n#output\na 1.0\nb nan\nc 3.0\n", "word 'a': non-finite value"),
-        ("3 1\na 1.0\nb 2.0\nc 3.0\n#output\na 1.0\nc 3.0\nb 2.0\n", "output block word order differs"),
-        ("3 1\na 1.0\nb 2.0\nc 3.0\n#output\na 1.0\nb 2.0\n", "unexpected end of file in output block"),
-        ("2 1\na 1.0\nb 2.0\n#output\na 1.0\nb 2.0\nc 3.0\n", "unexpected extra line 'c 3.0'"),
+        ("2 1\na 1.0\nb 2.0\n#output\na 1.0\nb 2.0\n", "unexpected extra line '#output'"),  # the old output block
     ])
     def test_a_dropped_row_fails_as_in_a_full_load(self, tmp_path, text, error):
         """Each file fails as ``error`` on a full load, and with the same
@@ -879,12 +862,6 @@ class TestPartialLoads:
             with pytest.raises(ModelFormatError) as part:
                 load_model(path, kept)
             assert str(part.value) == error, sorted(kept)
-
-    def test_output_order_that_differs_only_in_dropped_words_fails(self, tmp_path):
-        path = tmp_path / "m.w2v"
-        path.write_text("trendlens-w2v 1 3 1 7\na 1.0\nb 2.0\nc 3.0\n#output\na 4.0\nc 6.0\nb 5.0\n")
-        with pytest.raises(ModelFormatError, match="output block word order differs"):
-            load_model(path, {"a"})
 
     def test_memory_follows_the_kept_rows(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -70,3 +70,25 @@ def test_no_module_calls_lapack():
                 continue
             found += [f"{source.name}:{node.lineno}: {name}" for name in sorted(names - {"norm"})]
     assert not found, found
+
+
+def test_only_embedding_reads_or_writes_labelled_rows():
+    """``embedding`` owns the labelled-vector row format of ``.w2v`` models
+    and docvec files: no other module names its row reader or writer, its
+    header reader or either file's magic."""
+    owned = {"_read_rows", "_write_rows", "_read_header", "_MAGIC", "_DOCVEC_MAGIC"}
+    found = []
+    for source in sorted(Path(trendlens.__file__).parent.glob("*.py")):
+        if source.name == "embedding.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            else:
+                continue
+            found += [f"{source.name}:{node.lineno}: {name}" for name in sorted(names & owned)]
+    assert not found, found

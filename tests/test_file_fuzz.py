@@ -7,12 +7,13 @@ logging that same message.  The mutations: truncation at any byte (so also
 inside a multibyte character), a dropped field, a mistyped value, NaN or
 infinity, a repeated id, a BOM, other line ends, and an unterminated quote.
 
-The ``.w2v`` and docvec fuzzers follow the same form with their own
-mutations, and the streamed stages (``ingest``, ``query``, ``extract``) are
-fuzzed with one fault at a drawn line of their input.
+The ``.w2v``, docvec, stopword-list and config fuzzers follow the same form
+with their own mutations, and the streamed stages (``ingest``, ``query``,
+``extract``) are fuzzed with one fault at a drawn line of their input.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -34,8 +35,8 @@ from trendlens.embedding import (
     EmbeddingModel, ModelFormatError, Vocabulary, load_document_vectors, load_model, save_document_vectors, save_model
 )
 from trendlens.keywords import ExtractionResult, KeywordScore, load_extractions, save_extractions
-from trendlens.pipeline import _safe_name, plot_projection
-from trendlens.textprep import _write_csv, load_token_streams
+from trendlens.pipeline import _NULLABLE, _TYPES, _safe_name, plot_projection, resolve_config
+from trendlens.textprep import _write_csv, load_stopword_list, load_token_streams
 
 _MUTATIONS = ["truncate", "drop_field", "wrong_type", "nan", "repeat_id", "bom", "line_ends", "open_quote"]
 _NON_FINITE = ["nan", "NaN", "inf", "-inf", "Infinity"]
@@ -401,9 +402,7 @@ class TestStreamedStageFaults:
         docs = [PatentDocument(f"P{i}", "medical", 2018, "t", " ".join(["alpha", *words]))
                 for i, words in enumerate(abstracts)]
         fault = data.draw(st.sampled_from([*_STAGE_FAULTS[kind], None]))
-        # a first record without its 'tokens' key marks no tokens file, so it is read as a corpus
-        first = fault == "repeat_id" or (kind, fault) == ("tokens", "drop_field")
-        i = data.draw(st.integers(1 if first else 0, len(docs) - 1))
+        i = data.draw(st.integers(1 if fault == "repeat_id" else 0, len(docs) - 1))  # record 0's id, repeated later
         matches = stage != "query" or data.draw(st.booleans())
         existing = data.draw(st.booleans())
         with tempfile.TemporaryDirectory() as tmp:
@@ -571,3 +570,176 @@ class TestDocvecFileFuzz:
                 vectors, loaded_dim = load_document_vectors(path)
                 assert loaded_dim == dim and list(vectors) == labels
                 assert np.array(list(vectors.values())).tobytes() == matrix.tobytes()
+
+
+# ---- stopword lists
+
+_STOP_ENTRY = st.text(_WORD, min_size=2, max_size=4)
+_STOP_LINE = st.one_of(_STOP_ENTRY, st.just(""), st.text("ab ,é日😀", max_size=4).map(lambda t: "# " + t))
+# inside an entry: str.strip()'s whitespace, which ends no line of the list, and punctuation
+_INNER = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u3000", ",", ".", "-", "_", "'", "#"]
+_STOP_MUTATIONS = ["truncate", "inner", "bom", "line_ends", "upper", "repeat"]
+
+
+def mutate_stopwords(lines: list[str], draw) -> Outcome:
+    """One mutation of the stopword list of ``lines`` (entries, comments and
+    blank lines); ``keep`` counts the whole lines a load reads."""
+    data, n = _jsonl(lines), len(lines)
+    kind = draw(st.sampled_from(_STOP_MUTATIONS))
+    if kind == "truncate":  # at a byte, so possibly inside a character; a cut entry loads as a shorter one
+        cut = draw(st.integers(0, len(data) - 1))
+        whole = data[: cut + 1].count(b"\n")
+        partial = data[cut:cut + 1] != b"\n" and data[:cut].rsplit(b"\n", 1)[-1]
+        return Outcome(data[:cut], whole, {whole + 1} if partial else (), 1 if partial else 0)
+    if kind == "bom":
+        return Outcome("\ufeff".encode() + data, n, {1})
+    if kind == "line_ends":
+        ends = draw(st.lists(st.sampled_from(["\r\n", "\n", "\r"]), min_size=n, max_size=n))
+        return Outcome("".join(line + end for line, end in zip(lines, ends)).encode(), n)
+    entries = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+    if not entries:
+        return Outcome(data, n)
+    i = draw(st.sampled_from(entries))
+    lines = list(lines)
+    if kind == "inner":
+        k = draw(st.integers(1, len(lines[i]) - 1))
+        lines[i] = lines[i][:k] + draw(st.sampled_from(_INNER)) + lines[i][k:]
+        return Outcome(_jsonl(lines), n, {i + 1})
+    if kind == "upper":  # folded to the entry it was
+        lines[i] = lines[i].upper()
+    else:  # repeat: a copy, maybe in capitals, on a later line is folded into the first
+        lines.insert(draw(st.integers(i + 1, n)), draw(st.sampled_from([str.upper, str.lower]))(lines[i]))
+    return Outcome(_jsonl(lines), n)
+
+
+class TestStopwordListFuzz:
+    """A mutated stopword list loads its entries once each, lowercased and in
+    order, or fails with ValueError naming ``path:line``; then ``ingest``
+    given it as ``--base-stopwords`` or ``--extra-stopwords`` exits 1 logging
+    the same message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_STOP_LINE, min_size=1, max_size=6), st.sampled_from(["--base-stopwords", "--extra-stopwords"]),
+           st.data())
+    def test_mutated_list_loads_or_names_line(self, lines, flag, data):
+        outcome = mutate_stopwords(lines, data.draw)
+
+        def expect(keep):
+            return list(dict.fromkeys(line for line in lines[:keep] if line and not line.startswith("#")))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path, corpus = Path(tmp) / "stop.txt", Path(tmp) / "c.jsonl"
+            save_corpus(Corpus((PatentDocument("D0", "medical", 2018, "t", "alpha"),)), corpus)
+            argv = ["ingest", "--input", str(corpus), "--tokens-out", str(Path(tmp) / "t.jsonl"), flag, str(path)]
+            check(path, outcome, lambda p: list(load_stopword_list(p).entries), expect, ValueError, argv)
+
+
+# ---- config JSON
+
+_CONFIG = dict(
+    corpus="c.jsonl", format="jsonl", query="'épée' OR 日本", base_stopwords="base.txt", extra_stopwords=["x.txt"],
+    model=None, top_n=3, top_percent=50.0, cluster_threshold=1.5, anchors={"médical": "日本"}, out_dir="out-日",
+    dim=4, window=2, epochs=1, learning_rate=0.05, min_count=1, mode="full_softmax", negatives=2, seed=3,
+)
+_FLOAT_KEYS = ["learning_rate", "top_percent", "cluster_threshold"]
+_MISTYPED = {str: [5, True, ["x"]], int: [2.5, "3", True, [3]], float: ["0.5", False, [0.5]],
+             list: ["x.txt", [5], {}], dict: [["a"], {"a": 5}, "a"]}
+_CONFIG_MUTATIONS = ["truncate", "drop_key", "wrong_type", "non_finite", "repeat_key", "bom", "line_ends"]
+
+
+def _settings(config) -> dict:
+    """A resolved config's values, the training ones among them."""
+    values = dataclasses.asdict(config)
+    train = values.pop("train")
+    return {**values, **train}
+
+
+_DEFAULTS = _settings(resolve_config(None, {"corpus": "c.jsonl"}))
+
+
+def mutate_config(draw, path: Path) -> tuple[bytes, str | None, dict]:
+    """One mutation of ``_CONFIG`` as ``path`` holds it: the bytes, and the
+    start of the message resolving them fails with, or None and the changes
+    to the resolved values of ``_CONFIG`` that they load as."""
+    text = json.dumps(_CONFIG, indent=1, ensure_ascii=False) + "\n"
+    data = text.encode()
+    kind = draw(st.sampled_from(_CONFIG_MUTATIONS))
+    if kind == "truncate":  # at a byte, so possibly inside a character; only the final newline may go
+        cut = draw(st.integers(0, len(data) - 1))
+        line = data[:cut].count(b"\n") + 1
+        return data[:cut], f"{path}:{line}: " if cut < len(data) - 1 else None, {}
+    if kind == "bom":
+        return "\ufeff".encode() + data, f"{path}:1: invalid JSON: Unexpected UTF-8 BOM", {}
+    if kind == "line_ends":
+        lines = text.splitlines()
+        ends = draw(st.lists(st.sampled_from(["\r\n", "\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+        return "".join(line + end for line, end in zip(lines, ends)).encode(), None, {}
+    key = draw(st.sampled_from(_FLOAT_KEYS if kind == "non_finite" else list(_CONFIG)))
+    config = dict(_CONFIG)
+    if kind == "repeat_key":  # a second pair for the key, first in the object
+        pair = f"{json.dumps(key)}: {json.dumps(draw(st.sampled_from([_CONFIG[key], 4, 'x'])))},"
+        return text.replace("{\n", "{\n " + pair + "\n", 1).encode(), f"{path}: invalid JSON: repeated key {key!r}", {}
+    if kind == "drop_key":
+        del config[key]
+        message = f"{path}: missing the 'corpus' path" if key == "corpus" else None
+        changes = {} if key == "corpus" else {key: _DEFAULTS[key]}
+    elif kind == "wrong_type":
+        wrong = _MISTYPED[_TYPES[key]] + ([] if key in _NULLABLE else [None])
+        config[key] = draw(st.sampled_from(wrong))
+        message, changes = f"{path}: {key!r} must be of type ", {}
+    else:  # non_finite: README's ranges let +inf through for the learning rate and the cluster threshold only
+        config[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        loads = config[key] == math.inf and key != "top_percent"
+        message, changes = (None, {key: math.inf}) if loads else (f"{path}: {key!r} must be ", {})
+    return (json.dumps(config, indent=1, ensure_ascii=False) + "\n").encode(), message, changes
+
+
+class TestConfigFuzz:
+    """A mutated config fails in ``resolve_config`` with ValueError naming
+    ``cfg.json:line`` or the file and the key, and ``pipeline --config``
+    exits 1 logging the same message; or it resolves to the values written,
+    a dropped key to its default."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_config_resolves_or_names_file(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(_CONFIG), encoding="utf-8")
+            written = _settings(resolve_config(path))
+            paths = dict(corpus=str(path.parent / "c.jsonl"), base_stopwords=str(path.parent / "base.txt"),
+                         extra_stopwords=(str(path.parent / "x.txt"),))
+            assert written == {**_CONFIG, **paths}  # relative to the config's directory
+            mutated, message, changes = mutate_config(data.draw, path)
+            path.write_bytes(mutated)
+            if message is None:
+                assert _settings(resolve_config(path)) == {**written, **changes}
+                return
+            with pytest.raises(ValueError) as failed:
+                resolve_config(path)
+            assert str(failed.value).startswith(message), str(failed.value)
+            with patch.object(cli.log, "error") as logged:
+                assert main(["pipeline", "--config", str(path)]) == EXIT_FAILURE
+            assert str(logged.call_args.args[1]) == str(failed.value)
+
+    @pytest.mark.parametrize("key", ["learning_rate", "cluster_threshold"])
+    def test_infinity_where_the_range_lets_it_through(self, tmp_path, caplog, key):
+        """``learning_rate: Infinity`` fails in training as divergence; with
+        ``cluster_threshold: Infinity`` each industry's keywords form one
+        cluster, and ``config.resolved`` records the value."""
+        fixture = Path(__file__).resolve().parents[1] / "src" / "trendlens" / "data" / "fixture"
+        config = json.loads((fixture / "config.json").read_text(encoding="utf-8"))
+        config.update({key: math.inf, "corpus": str(fixture / "corpus.jsonl"),
+                       "extra_stopwords": [str(fixture / "curated_stopwords.txt")], "dim": 8, "epochs": 1})
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = main(["pipeline", "--config", str(path), "--out-dir", str(out)])
+        if key == "learning_rate":
+            assert code == EXIT_FAILURE
+            assert "stage 'train' failed: training diverged (non-finite loss) at epoch 0, step" in caplog.text
+            assert not (out / "model.w2v").exists()
+            return
+        assert code == 0
+        assert '"cluster_threshold": Infinity' in (out / "config.resolved").read_text(encoding="utf-8")
+        rows = list(csv.DictReader((out / "projection.csv").read_text(encoding="utf-8").splitlines()))
+        assert rows and {row["cluster_id"] for row in rows} == {"0"}
