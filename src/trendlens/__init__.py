@@ -8,7 +8,7 @@ projection, threshold clustering, and report/plot emission.
 
 __version__ = "0.1.0"
 
-from .corpus import Corpus, CorpusError, PatentDocument, filter_corpus, load_corpus, save_corpus
+from .corpus import Corpus, CorpusError, PatentDocument, load_corpus, save_corpus
 from .embedding import (
     EmbeddingModel,
     ModelFormatError,

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import __version__
-from .corpus import _FIELDS, FORMATS, _documents, _document_record, load_corpus, save_corpus
+from .corpus import _FIELDS, _documents, _document_record, load_corpus, save_corpus
 from .embedding import MODES, TrainConfig, load_model, save_model, train
 from .keywords import FileEmbedder, ReferenceEmbedder, load_extractions, save_extractions
 from .pipeline import (
@@ -85,15 +85,14 @@ def _add_stopword_flags(parser):
 
 
 def _add_train_flags(parser):
-    # unset flags stay None, so TrainConfig or a pipeline config supplies them
-    parser.add_argument("--dim", type=int)
-    parser.add_argument("--window", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--learning-rate", type=float)
-    parser.add_argument("--min-count", type=int)
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--negatives", type=int)
-    parser.add_argument("--seed", type=int, help=f"default: $TRENDLENS_SEED or {TrainConfig.seed}")
+    # one flag per TrainConfig field; unset flags stay None, so TrainConfig or a pipeline config supplies them
+    for key, kind in _TRAIN_TYPES.items():
+        parser.add_argument(
+            "--" + key.replace("_", "-"),
+            type=kind,
+            choices=MODES if key == "mode" else None,
+            help=f"default: $TRENDLENS_SEED or {TrainConfig.seed}" if key == "seed" else None,
+        )
 
 
 def _flag_train_config(args) -> TrainConfig:
@@ -134,7 +133,7 @@ def _input_streams(args) -> Iterator[TokenStream]:
             stop = StopwordList.union(*lists)
             streams = (filter_stopwords(s, stop) for s in streams)
         return streams
-    documents = _documents(args.input, getattr(args, "format", None))
+    documents = _documents(args.input)
     return _prep_streams(documents, args.base_stopwords, args.extra_stopwords)
 
 
@@ -145,7 +144,7 @@ def cmd_ingest(args) -> int:
     # one document at a time; the tokens file is renamed into place last, as it was written last
     with _json_lines_out(args.tokens_out) as put_stream, _json_lines_out(args.out) as put_document:
         def documents():
-            for doc in _documents(args.input, args.format):
+            for doc in _documents(args.input):
                 industries[doc.industry] += 1
                 put_document(_document_record(doc))
                 yield doc
@@ -160,14 +159,14 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_query(args) -> int:
-    save_corpus(_query(_documents(args.input, args.format), _read_query(args)), args.out)
+    save_corpus(_query(_documents(args.input), _read_query(args)), args.out)
     return EXIT_OK
 
 
 def cmd_stopwords(args) -> int:
     if args.model:
         _unused_training(k for k, v in vars(args).items() if v is not None)
-    streams = _interned(_prep_streams(_documents(args.input, args.format), args.base_stopwords, ()))
+    streams = _interned(_prep_streams(_documents(args.input), args.base_stopwords, ()))
     model = (load_model(args.model, {t for s in streams for t in s.tokens}) if args.model
              else train(streams, _flag_train_config(args)))
     _candidates(streams, model, args.out, args.top_k, args.top_n)
@@ -209,7 +208,7 @@ def _parse_anchor_flags(pairs):
 
 def cmd_analyze(args) -> int:
     anchors = _parse_anchor_flags(args.anchor)
-    corpus = load_corpus(args.corpus, args.format)
+    corpus = load_corpus(args.corpus)
     results = load_extractions(args.keywords)
     model = load_model(args.model, _analysis_words(results, corpus, args.top_percent, anchors))
     report = analyze_extractions(
@@ -259,7 +258,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ingest", help="validate a corpus file; optionally emit tokens")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--out", metavar="FILE", help="write normalized corpus JSONL")
     p.add_argument("--tokens-out", metavar="FILE", help="write stopword-filtered token streams")
     _add_stopword_flags(p)
@@ -267,7 +265,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("query", help="filter a corpus with a boolean query")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--format", choices=FORMATS, default=None)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--query", metavar="EXPR")
     group.add_argument("--query-file", metavar="FILE")
@@ -276,7 +273,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("stopwords", help="emit stopword candidates for curation")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--model", metavar="FILE", help="existing model (otherwise trains one)")
     p.add_argument("--base-stopwords", metavar="FILE")
     p.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
@@ -287,7 +283,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train skip-gram embeddings")
     p.add_argument("--input", required=True, metavar="FILE", help="corpus JSONL/CSV or tokens JSONL")
-    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--out", required=True, metavar="FILE")
     _add_stopword_flags(p)
     _add_train_flags(p)
@@ -295,7 +290,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("extract", help="extract top keywords per document")
     p.add_argument("--input", required=True, metavar="FILE", help="corpus JSONL/CSV or tokens JSONL")
-    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--model", metavar="FILE")
     p.add_argument("--doc-vectors", metavar="FILE", help="external document vectors")
     p.add_argument("--word-vectors", metavar="FILE", help="external word vectors")
@@ -307,7 +301,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="aggregate, select, project, and cluster keywords")
     p.add_argument("--keywords", required=True, metavar="FILE", help="extraction CSV")
     p.add_argument("--corpus", required=True, metavar="FILE")
-    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--model", required=True, metavar="FILE")
     p.add_argument("--top-percent", type=float, default=PipelineConfig.top_percent)
     p.add_argument("--cluster-threshold", type=float, default=PipelineConfig.cluster_threshold)
@@ -323,7 +316,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pipeline", help="run every stage end to end")
     p.add_argument("--config", metavar="FILE", help="flat JSON config; flags override")
     p.add_argument("--corpus", metavar="FILE")
-    p.add_argument("--format", choices=FORMATS, default=None)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--query", metavar="EXPR")
     group.add_argument("--query-file", metavar="FILE")

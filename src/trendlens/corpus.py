@@ -1,4 +1,4 @@
-"""Patent corpus loading, validation, and query filtering."""
+"""Patent corpus loading and validation."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .query import QueryExpr, eval_query
 from .textprep import _csv_rows, _json_lines, _write_json_lines
 
 __all__ = [
@@ -15,10 +14,8 @@ __all__ = [
     "CorpusError",
     "load_corpus",
     "save_corpus",
-    "filter_corpus",
 ]
 
-FORMATS = ("jsonl", "csv")  # the corpus file formats, and the --format choices
 _FIELDS = ("id", "industry", "year", "title", "abstract")
 _YEAR_RANGE = (1900, 2100)
 
@@ -100,27 +97,20 @@ def _record_to_document(record, where: str) -> PatentDocument:
         raise CorpusError(f"{where}: {exc}") from None
 
 
-def load_corpus(path: str | Path, format: str | None = None) -> Corpus:
-    """Load a corpus from a JSONL or CSV file.
-
-    ``format`` is "jsonl" or "csv"; when omitted it is inferred from the
-    file suffix (.csv means CSV, anything else means JSONL).  Errors name
-    the offending line.
-    """
-    return Corpus(tuple(_documents(path, format)))
+def load_corpus(path: str | Path) -> Corpus:
+    """Load a corpus from a CSV file (a name ending in .csv, in any case)
+    or a JSONL file (any other name).  Errors name the offending line."""
+    return Corpus(tuple(_documents(path)))
 
 
-def _documents(path: str | Path, format: str | None = None) -> Iterator[PatentDocument]:
+def _documents(path: str | Path) -> Iterator[PatentDocument]:
     """The documents of :func:`load_corpus` one at a time, each record
     checked as it is read; only the ids seen so far are held, and a file
     with no record fails after its last line."""
     path = Path(path)
-    if format is None:
-        format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if format not in FORMATS:
-        raise CorpusError(f"unknown corpus format {format!r}")
     seen: set[str] = set()
-    for where, record in _json_lines(path, CorpusError) if format == "jsonl" else _csv_records(path):
+    records = _csv_records(path) if path.suffix.lower() == ".csv" else _json_lines(path, CorpusError)
+    for where, record in records:
         doc = _record_to_document(record, where)
         if doc.id in seen:
             raise CorpusError(f"{where}: duplicate id {doc.id!r}")
@@ -153,7 +143,3 @@ def save_corpus(documents: Iterable[PatentDocument], path: str | Path) -> None:
     """Write a corpus, or any documents, as canonical JSONL (fixed key order, UTF-8)."""
     _write_json_lines(path, map(_document_record, documents))
 
-
-def filter_corpus(corpus: Corpus, expr: QueryExpr) -> Corpus:
-    """Keep the documents matching ``expr``, preserving load order."""
-    return Corpus(tuple(doc for doc in corpus.documents if eval_query(expr, doc)))

@@ -113,7 +113,7 @@ TRAIN_RANGES = dict(
     dim=(lambda v: v >= 1, ">= 1"),
     window=(lambda v: v >= 1, ">= 1"),
     epochs=(lambda v: v >= 0, ">= 0"),
-    learning_rate=(lambda v: v > 0, "> 0"),
+    learning_rate=(lambda v: 0 < v < math.inf, "> 0 and finite"),  # an infinite rate can only diverge
     min_count=(lambda v: v >= 1, ">= 1"),
     mode=(lambda v: v in MODES, f"one of {', '.join(MODES)}"),
     negatives=(lambda v: v >= 1, ">= 1"),

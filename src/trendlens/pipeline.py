@@ -91,7 +91,6 @@ class PipelineConfig:
     """Fully resolved parameters of one pipeline run."""
 
     corpus: str
-    format: str | None = None
     query: str | None = None
     base_stopwords: str | None = None  # None selects the bundled list
     extra_stopwords: tuple[str, ...] = ()
@@ -119,11 +118,11 @@ class PipelineConfig:
 _TRAIN_TYPES = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
 # every config key and its type; only the _NULLABLE ones may be null
 _TYPES = dict(
-    corpus=str, format=str, query=str, base_stopwords=str, extra_stopwords=list, model=str,
+    corpus=str, query=str, base_stopwords=str, extra_stopwords=list, model=str,
     top_n=int, top_percent=float, cluster_threshold=float, anchors=dict, out_dir=str,
     **_TRAIN_TYPES,
 )
-_NULLABLE = {"format", "query", "base_stopwords", "model"}
+_NULLABLE = {"query", "base_stopwords", "model"}
 _TYPE_NAMES = {list: "list of strings", dict: "object of strings"}
 # the values their stages accept, checked before anything is loaded; top_k,
 # the stopwords subcommand's candidate count, is a flag and no config key
@@ -558,7 +557,7 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
         except Exception as exc:
             raise PipelineStageError(name, exc) from exc
 
-    corpus = stage("load", load_corpus, config.corpus, config.format)
+    corpus = stage("load", load_corpus, config.corpus)
     log.info("loaded %d documents across %d industries", len(corpus), len(corpus.industries))
     if config.query:
         corpus = stage("query", lambda docs: Corpus(tuple(_query(docs, config.query))), corpus)

@@ -218,6 +218,8 @@ def load_stopword_list(path: str | Path) -> StopwordList:
     seen = set()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(_text_lines(fh, path), 1):
+            if lineno == 1 and raw.startswith("\ufeff"):
+                raise ValueError(f"{path}:1: unexpected UTF-8 byte-order mark")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import inspect
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from trendlens.cli import EXIT_CURATION, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, build_parser, main
 from trendlens.corpus import load_corpus
-from trendlens.embedding import load_model
+from trendlens.embedding import MODES, TrainConfig, load_model
 from trendlens.keywords import save_document_vectors
 from trendlens.pipeline import PipelineConfig, resolve_config
 from trendlens.textprep import tokenize
@@ -53,6 +54,17 @@ class TestExitCodes:
         assert main(["train", "--input", "c.jsonl", "--out", "m.w2v", "--mode", "hier_softmax"]) == EXIT_USAGE
         # a model file holds the word vectors alone, so the flag that added the output matrix is gone
         assert main(["train", "--input", "c.jsonl", "--out", "m.w2v", "--full"]) == EXIT_USAGE
+        # a corpus file's suffix is its only format rule, so no subcommand takes --format
+        for argv in (
+            ["ingest", "--input", "c.csv"],
+            ["query", "--input", "c.csv", "--query", "a", "--out", "q.jsonl"],
+            ["stopwords", "--input", "c.csv", "--out", "s.csv"],
+            ["train", "--input", "c.csv", "--out", "m.w2v"],
+            ["extract", "--input", "c.csv", "--model", "m.w2v", "--out", "k.csv"],
+            ["analyze", "--keywords", "k.csv", "--corpus", "c.csv", "--model", "m.w2v", "--out-dir", "o"],
+            ["pipeline", "--corpus", "c.csv"],
+        ):
+            assert main([*argv, "--format", "csv"]) == EXIT_USAGE, argv[0]
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -773,12 +785,14 @@ class TestAnalysisFlagRanges:
             ("train", ["--dim", "0"], "'dim' must be >= 1, got 0"),
             ("train", ["--window", "0"], "'window' must be >= 1, got 0"),
             ("train", ["--epochs", "-1"], "'epochs' must be >= 0, got -1"),
-            ("train", ["--learning-rate", "0"], "'learning_rate' must be > 0, got 0.0"),
+            ("train", ["--learning-rate", "0"], "'learning_rate' must be > 0 and finite, got 0.0"),
+            ("train", ["--learning-rate", "inf"], "'learning_rate' must be > 0 and finite, got inf"),
             ("train", ["--min-count", "0"], "'min_count' must be >= 1, got 0"),
             ("train", ["--negatives", "0"], "'negatives' must be >= 1, got 0"),
             ("train", ["--seed", "-1"], "'seed' must be >= 0, got -1"),
             ("stopwords", ["--model", "m.w2v", "--dim", "0"], "'dim' must be >= 1, got 0"),
-            ("pipeline", ["--learning-rate", "-0.5"], "'learning_rate' must be > 0, got -0.5"),
+            ("pipeline", ["--learning-rate", "-0.5"], "'learning_rate' must be > 0 and finite, got -0.5"),
+            ("pipeline", ["--learning-rate", "inf"], "'learning_rate' must be > 0 and finite, got inf"),
         ],
     )
     def test_out_of_range_flag_is_failure_naming_flag(self, tmp_path, caplog, command, flags, error):
@@ -884,3 +898,22 @@ def test_flag_defaults_are_the_owning_defaults():
     args = parser.parse_args(["pipeline", "--corpus", "x.jsonl"])
     config = resolve_config(None, {k: getattr(args, k) for k in ("corpus", *analysis)})
     assert all(getattr(config, k) == owning[k] for k in analysis)
+
+
+def test_training_flags_are_the_train_config_fields():
+    """train, stopwords and pipeline take one flag per TrainConfig field,
+    each unset (None) so that TrainConfig or a config file supplies it."""
+    fields = [f.name for f in dataclasses.fields(TrainConfig)]
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("train", "stopwords", "pipeline"):
+        actions = {a.dest: a for a in subparsers.choices[command]._actions}
+        training = [dest for dest in actions if hasattr(TrainConfig, dest)]
+        assert training == fields, command
+        for name in fields:
+            assert actions[name].option_strings == ["--" + name.replace("_", "-")], (command, name)
+            assert actions[name].default is None, (command, name)
+            assert actions[name].type is type(getattr(TrainConfig, name)), (command, name)
+        assert actions["mode"].choices == MODES
+    for command in ("ingest", "query", "extract", "analyze", "plot"):
+        assert not any(hasattr(TrainConfig, a.dest) for a in subparsers.choices[command]._actions), command

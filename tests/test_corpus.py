@@ -4,7 +4,8 @@ import re
 import pytest
 
 from trendlens.cli import EXIT_FAILURE, main
-from trendlens.corpus import Corpus, CorpusError, PatentDocument, filter_corpus, load_corpus, save_corpus
+from trendlens.corpus import Corpus, CorpusError, PatentDocument, load_corpus, save_corpus
+from trendlens.pipeline import _query
 from trendlens.query import parse_query, eval_query
 
 
@@ -33,7 +34,7 @@ class TestLoadJsonl:
             path,
             [record(i, industry) for i, industry in enumerate(["medical", "security", "factory", "transport"])],
         )
-        corpus = load_corpus(path, "jsonl")
+        corpus = load_corpus(path)
         assert len(corpus) == 4
         assert corpus.industries == ("factory", "medical", "security", "transport")
 
@@ -113,15 +114,23 @@ class TestLoadCsv:
             'P1,medical,2016,"Title, with comma","deep learning scan"\n'
             "P2,security,2017,t2,threat detection\n"
         )
-        corpus = load_corpus(path, "csv")
+        corpus = load_corpus(path)
         assert [d.id for d in corpus] == ["P1", "P2"]
         assert corpus.documents[0].title == "Title, with comma"
         assert corpus.documents[0].year == 2016
 
     def test_format_inferred_from_suffix(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text("id,industry,year,title,abstract\nP1,m,2018,t,a\n")
-        assert len(load_corpus(path)) == 1
+        # the suffix is the only format rule: a name ending in .csv, in any case, is CSV; any other name is JSONL
+        rows = "id,industry,year,title,abstract\nP1,m,2018,t,a\n"
+        for name in ("c.csv", "c.CSV", "c.Csv"):
+            (tmp_path / name).write_text(rows)
+            assert [d.id for d in load_corpus(tmp_path / name)] == ["P1"]
+        for name in ("c.txt", "c.csv.bak", "csv"):
+            write_jsonl(tmp_path / name, [record(1)])
+            assert [d.id for d in load_corpus(tmp_path / name)] == ["P1"]
+        (tmp_path / "rows.txt").write_text(rows)  # CSV under another name is read, and fails, as JSONL
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(tmp_path / 'rows.txt'))}:1: invalid JSON"):
+            load_corpus(tmp_path / "rows.txt")
 
     @pytest.mark.parametrize("text, line", [
         ("id,industry,year,title\nP1,m,2018,t\n", 1),
@@ -131,20 +140,20 @@ class TestLoadCsv:
         path = tmp_path / "c.csv"
         path.write_text(text)
         with pytest.raises(CorpusError, match="header") as err:
-            load_corpus(path, "csv")
+            load_corpus(path)
         assert str(err.value).startswith(f"{path}:{line}: header")
 
     def test_non_integer_year(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("id,industry,year,title,abstract\nP1,m,soon,t,a\n")
         with pytest.raises(CorpusError, match="year"):
-            load_corpus(path, "csv")
+            load_corpus(path)
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("id,industry,year,title,abstract\nP1,m,2018,t\n")
         with pytest.raises(CorpusError, match="fields"):
-            load_corpus(path, "csv")
+            load_corpus(path)
 
     @pytest.mark.parametrize("data, line", [
         (b"id,industry,year,title,abstract\nP1,m,2018,t,caf\xc3(\n", 2),
@@ -203,13 +212,11 @@ def make_corpus(abstracts):
 
 
 class TestFilter:
-    def test_nothing_matches(self):
-        corpus = make_corpus(["alpha beta", "gamma"])
-        assert len(filter_corpus(corpus, parse_query("'absent'"))) == 0
+    """``pipeline._query``, the one query filter of ``pipeline`` and the ``query`` subcommand."""
 
     def test_identity_when_all_match(self):
         corpus = make_corpus(["shared alpha", "shared beta"])
-        assert filter_corpus(corpus, parse_query("shared OR missing")) == corpus
+        assert Corpus(tuple(_query(corpus, "shared OR missing"))) == corpus
 
     def test_hand_enumerated_subset(self):
         # brute-force eval over every document picks exactly [P0, P2, P3]
@@ -222,25 +229,24 @@ class TestFilter:
                 "deep learning for factories",         # P4: no medical/healthcare
             ]
         )
-        expr = parse_query("(deep learn* OR machine learn*) AND ('medical' OR 'healthcare')")
-        expected = [d.id for d in corpus if eval_query(expr, d)]
+        source = "(deep learn* OR machine learn*) AND ('medical' OR 'healthcare')"
+        expected = [d.id for d in corpus if eval_query(parse_query(source), d)]
         assert expected == ["P0", "P2", "P3"]
-        assert [d.id for d in filter_corpus(corpus, expr)] == expected
+        assert [d.id for d in _query(corpus, source)] == expected
 
     def test_subsequence_and_idempotent(self):
         corpus = make_corpus(["alpha one", "beta two", "alpha three"])
-        expr = parse_query("alpha")
-        once = filter_corpus(corpus, expr)
+        once = tuple(_query(corpus, "alpha"))
         ids = [d.id for d in once]
         assert ids == [d.id for d in corpus if d.id in set(ids)]  # order preserved
-        assert filter_corpus(once, expr) == once
+        assert tuple(_query(once, "alpha")) == once
 
     def test_industries_recomputed(self):
         docs = (
             PatentDocument("A", "medical", 2018, "", "alpha"),
             PatentDocument("B", "security", 2018, "", "beta"),
         )
-        kept = filter_corpus(Corpus(docs), parse_query("alpha"))
+        kept = Corpus(tuple(_query(Corpus(docs), "alpha")))
         assert kept.industries == ("medical",)
 
 

@@ -47,11 +47,12 @@ _WORD = "abzé日9"
 
 class Outcome:
     """What a reader must make of a mutated file: the data rows a load keeps,
-    the lines an error may name (none where the file must load), and how many
-    records a load may add to the kept ones."""
+    the lines an error may name (none where the file must load), how many
+    records a load may add to the kept ones, and the error's text after its
+    location where the mutation fixes it."""
 
-    def __init__(self, data: bytes, keep: int, lines=(), extra: float = 0):
-        self.data, self.keep, self.lines, self.extra = data, keep, lines, extra
+    def __init__(self, data: bytes, keep: int, lines=(), extra: float = 0, message: str | None = None):
+        self.data, self.keep, self.lines, self.extra, self.message = data, keep, lines, extra, message
 
 
 def check(path: Path, outcome: Outcome, load, expect, error: type, argv: list, empty: str | None = None):
@@ -66,6 +67,7 @@ def check(path: Path, outcome: Outcome, load, expect, error: type, argv: list, e
         message = str(exc)
         if message != empty or outcome.keep:
             assert any(message.startswith(f"{path}:{line}: ") for line in outcome.lines), message
+            assert outcome.message is None or message.endswith(f": {outcome.message}"), message
         with patch.object(cli.log, "error") as logged:
             assert main(argv) == EXIT_FAILURE
         assert str(logged.call_args.args[1]) == message
@@ -592,7 +594,7 @@ def mutate_stopwords(lines: list[str], draw) -> Outcome:
         partial = data[cut:cut + 1] != b"\n" and data[:cut].rsplit(b"\n", 1)[-1]
         return Outcome(data[:cut], whole, {whole + 1} if partial else (), 1 if partial else 0)
     if kind == "bom":
-        return Outcome("\ufeff".encode() + data, n, {1})
+        return Outcome("\ufeff".encode() + data, n, {1}, message="unexpected UTF-8 byte-order mark")
     if kind == "line_ends":
         ends = draw(st.lists(st.sampled_from(["\r\n", "\n", "\r"]), min_size=n, max_size=n))
         return Outcome("".join(line + end for line, end in zip(lines, ends)).encode(), n)
@@ -637,7 +639,7 @@ class TestStopwordListFuzz:
 # ---- config JSON
 
 _CONFIG = dict(
-    corpus="c.jsonl", format="jsonl", query="'épée' OR 日本", base_stopwords="base.txt", extra_stopwords=["x.txt"],
+    corpus="c.jsonl", query="'épée' OR 日本", base_stopwords="base.txt", extra_stopwords=["x.txt"],
     model=None, top_n=3, top_percent=50.0, cluster_threshold=1.5, anchors={"médical": "日本"}, out_dir="out-日",
     dim=4, window=2, epochs=1, learning_rate=0.05, min_count=1, mode="full_softmax", negatives=2, seed=3,
 )
@@ -687,9 +689,9 @@ def mutate_config(draw, path: Path) -> tuple[bytes, str | None, dict]:
         wrong = _MISTYPED[_TYPES[key]] + ([] if key in _NULLABLE else [None])
         config[key] = draw(st.sampled_from(wrong))
         message, changes = f"{path}: {key!r} must be of type ", {}
-    else:  # non_finite: README's ranges let +inf through for the learning rate and the cluster threshold only
+    else:  # non_finite: README's ranges let +inf through for the cluster threshold only
         config[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-        loads = config[key] == math.inf and key != "top_percent"
+        loads = config[key] == math.inf and key == "cluster_threshold"
         message, changes = (None, {key: math.inf}) if loads else (f"{path}: {key!r} must be ", {})
     return (json.dumps(config, indent=1, ensure_ascii=False) + "\n").encode(), message, changes
 
@@ -722,24 +724,16 @@ class TestConfigFuzz:
                 assert main(["pipeline", "--config", str(path)]) == EXIT_FAILURE
             assert str(logged.call_args.args[1]) == str(failed.value)
 
-    @pytest.mark.parametrize("key", ["learning_rate", "cluster_threshold"])
-    def test_infinity_where_the_range_lets_it_through(self, tmp_path, caplog, key):
-        """``learning_rate: Infinity`` fails in training as divergence; with
-        ``cluster_threshold: Infinity`` each industry's keywords form one
-        cluster, and ``config.resolved`` records the value."""
+    def test_infinity_where_the_range_lets_it_through(self, tmp_path):
+        """With ``cluster_threshold: Infinity`` each industry's keywords form
+        one cluster, and ``config.resolved`` records the value."""
         fixture = Path(__file__).resolve().parents[1] / "src" / "trendlens" / "data" / "fixture"
         config = json.loads((fixture / "config.json").read_text(encoding="utf-8"))
-        config.update({key: math.inf, "corpus": str(fixture / "corpus.jsonl"),
+        config.update({"cluster_threshold": math.inf, "corpus": str(fixture / "corpus.jsonl"),
                        "extra_stopwords": [str(fixture / "curated_stopwords.txt")], "dim": 8, "epochs": 1})
         path, out = tmp_path / "cfg.json", tmp_path / "out"
         path.write_text(json.dumps(config), encoding="utf-8")
-        code = main(["pipeline", "--config", str(path), "--out-dir", str(out)])
-        if key == "learning_rate":
-            assert code == EXIT_FAILURE
-            assert "stage 'train' failed: training diverged (non-finite loss) at epoch 0, step" in caplog.text
-            assert not (out / "model.w2v").exists()
-            return
-        assert code == 0
+        assert main(["pipeline", "--config", str(path), "--out-dir", str(out)]) == 0
         assert '"cluster_threshold": Infinity' in (out / "config.resolved").read_text(encoding="utf-8")
         rows = list(csv.DictReader((out / "projection.csv").read_text(encoding="utf-8").splitlines()))
         assert rows and {row["cluster_id"] for row in rows} == {"0"}

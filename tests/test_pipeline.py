@@ -500,7 +500,6 @@ class TestResolveConfig:
         ("anchors", {"medical": 1}),
         ("corpus", None),
         ("out_dir", 3),
-        ("format", 1),
     ])
     def test_mistyped_top_level_values_name_key_and_file(self, tmp_path, key, value):
         config_path = tmp_path / "c.json"
@@ -524,6 +523,17 @@ class TestResolveConfig:
         with pytest.raises(ValueError, match=re.escape("flags: unknown config key(s): bogus, typo")):
             resolve_config(None, {"corpus": "x.jsonl", "typo": 1, "bogus": [2]})
 
+    def test_format_key_is_unknown(self, tmp_path):
+        # the file suffix is the only corpus format rule; a stale format key fails like any unknown key
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({"corpus": "x.csv", "format": "csv"}))
+        with pytest.raises(ValueError, match=re.escape(f"{config_path}: unknown config key(s): format")):
+            resolve_config(config_path, {})
+        assert main(["pipeline", "--config", str(config_path), "--out-dir", str(tmp_path / "out")]) == EXIT_FAILURE
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValueError, match=re.escape("flags: unknown config key(s): format")):
+            resolve_config(None, {"corpus": "x.csv", "format": "csv"})
+
     def test_unknown_override_key_set_to_none_rejected(self):
         with pytest.raises(ValueError, match=re.escape("flags: unknown config key(s): bogus")):
             resolve_config(None, {"corpus": "x.jsonl", "bogus": None})
@@ -540,8 +550,9 @@ class TestResolveConfig:
         ("dim", 0, ">= 1"),
         ("window", 0, ">= 1"),
         ("epochs", -1, ">= 0"),
-        ("learning_rate", 0, "> 0"),
-        ("learning_rate", float("nan"), "> 0"),
+        ("learning_rate", 0, "> 0 and finite"),
+        ("learning_rate", float("nan"), "> 0 and finite"),
+        ("learning_rate", float("inf"), "> 0 and finite"),
         ("min_count", 0, ">= 1"),
         ("mode", "hier_softmax", "one of full_softmax, negative_sampling"),
         ("negatives", 0, ">= 1"),
@@ -563,8 +574,8 @@ class TestResolveConfig:
 
     def test_null_allowed_for_optional_keys_only(self, tmp_path):
         config_path = tmp_path / "c.json"
-        optional = {"format": None, "query": None, "base_stopwords": None, "model": None}
+        optional = {"query": None, "base_stopwords": None, "model": None}
         config_path.write_text(json.dumps({"corpus": "x.jsonl", **optional, "top_percent": 5}))
         config = resolve_config(config_path, {})
-        assert (config.format, config.query, config.base_stopwords, config.model) == (None,) * 4
+        assert (config.query, config.base_stopwords, config.model) == (None,) * 3
         assert config.top_percent == 5.0 and isinstance(config.top_percent, float)
