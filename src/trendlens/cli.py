@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from collections import Counter, deque
 from pathlib import Path
@@ -21,7 +20,6 @@ from .corpus import _FIELDS, _documents, _document_record, load_corpus, save_cor
 from .embedding import MODES, TrainConfig, load_model, save_model, train
 from .keywords import FileEmbedder, ReferenceEmbedder, load_extractions, save_extractions
 from .pipeline import (
-    _FLAG_TYPES,
     _RANGES,
     _TRAIN_TYPES,
     _TYPES,
@@ -33,7 +31,6 @@ from .pipeline import (
     _extract,
     _prep_streams,
     _query,
-    _train_config,
     _unused_training,
     analyze_extractions,
     plot_projection,
@@ -53,7 +50,6 @@ from .textprep import (
     filter_stopwords,
     load_stopword_list,
 )
-from .trends import DEFAULT_TOP_K
 
 log = logging.getLogger("trendlens")
 
@@ -91,20 +87,18 @@ def _add_train_flags(parser):
             "--" + key.replace("_", "-"),
             type=kind,
             choices=MODES if key == "mode" else None,
-            help=f"default: $TRENDLENS_SEED or {TrainConfig.seed}" if key == "seed" else None,
         )
 
 
 def _flag_train_config(args) -> TrainConfig:
     """The TrainConfig for the training flags given on the command line."""
-    flags = {k: getattr(args, k) for k in _TRAIN_TYPES if getattr(args, k) is not None}
-    return _train_config(flags, os.environ.get("TRENDLENS_SEED"))
+    return TrainConfig(**{k: getattr(args, k) for k in _TRAIN_TYPES if getattr(args, k) is not None})
 
 
 def _read_query(args) -> str | None:
-    if getattr(args, "query", None):
+    if args.query is not None:
         return args.query
-    if getattr(args, "query_file", None):
+    if args.query_file is not None:
         with open(args.query_file, "rb") as fh:  # decoded per line, so a bad byte fails naming its line
             return "\n".join(line.rstrip("\r\n") for line in _text_lines(fh, args.query_file)).strip()
     return None
@@ -127,7 +121,7 @@ def _input_streams(args) -> Iterator[TokenStream]:
         record = None
     if isinstance(record, dict) and ("tokens" in record or record.keys().isdisjoint(set(_FIELDS) - {"id"})):
         streams = _token_streams(args.input)
-        lists = [load_stopword_list(args.base_stopwords)] if args.base_stopwords else []
+        lists = [] if args.base_stopwords is None else [load_stopword_list(args.base_stopwords)]
         lists += [load_stopword_list(path) for path in args.extra_stopwords]
         if lists:
             stop = StopwordList.union(*lists)
@@ -138,7 +132,7 @@ def _input_streams(args) -> Iterator[TokenStream]:
 
 
 def cmd_ingest(args) -> int:
-    if not args.tokens_out and (args.base_stopwords or args.extra_stopwords):
+    if args.tokens_out is None and (args.base_stopwords is not None or args.extra_stopwords):
         raise ValueError("flags: stopword lists are unused without --tokens-out")
     industries = Counter()
     # one document at a time; the tokens file is renamed into place last, as it was written last
@@ -149,7 +143,7 @@ def cmd_ingest(args) -> int:
                 put_document(_document_record(doc))
                 yield doc
 
-        if args.tokens_out:
+        if args.tokens_out is not None:
             for stream in _prep_streams(documents(), args.base_stopwords, args.extra_stopwords):
                 put_stream(_stream_record(stream))
         else:
@@ -164,12 +158,12 @@ def cmd_query(args) -> int:
 
 
 def cmd_stopwords(args) -> int:
-    if args.model:
+    if args.model is not None:
         _unused_training(k for k, v in vars(args).items() if v is not None)
     streams = _interned(_prep_streams(_documents(args.input), args.base_stopwords, ()))
-    model = (load_model(args.model, {t for s in streams for t in s.tokens}) if args.model
+    model = (load_model(args.model, {t for s in streams for t in s.tokens}) if args.model is not None
              else train(streams, _flag_train_config(args)))
-    _candidates(streams, model, args.out, args.top_k, args.top_n)
+    _candidates(streams, model, args.out, args.top_n)
     return EXIT_OK
 
 
@@ -182,13 +176,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    if args.model and (args.doc_vectors or args.word_vectors):
+    vectors = (args.doc_vectors, args.word_vectors)
+    if args.model is not None and vectors != (None, None):
         raise ValueError("use either --model or --doc-vectors/--word-vectors, not both")
-    if not (args.model or (args.doc_vectors and args.word_vectors)):
+    if args.model is None and None in vectors:
         raise ValueError("--model or both --doc-vectors and --word-vectors are required")
     # two passes over the input: its token set for the model rows, then one document at a time
     tokens = {t for s in _input_streams(args) for t in s.tokens}
-    if args.model:
+    if args.model is not None:
         embedder = ReferenceEmbedder(load_model(args.model, tokens))
     else:
         embedder = FileEmbedder.from_files(args.doc_vectors, args.word_vectors, tokens)
@@ -246,7 +241,7 @@ def cmd_pipeline(args) -> int:
         extra_stopwords=args.extra_stopwords or None,
         anchors=_parse_anchor_flags(args.anchor) or None,
     )
-    config = resolve_config(args.config, overrides, os.environ.get("TRENDLENS_SEED"))
+    config = resolve_config(args.config, overrides)
     run_pipeline(config)
     return EXIT_OK
 
@@ -275,7 +270,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--model", metavar="FILE", help="existing model (otherwise trains one)")
     p.add_argument("--base-stopwords", metavar="FILE")
-    p.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
     p.add_argument("--top-n", type=int, default=PipelineConfig.top_n)
     p.add_argument("--out", required=True, metavar="FILE")
     _add_train_flags(p)
@@ -341,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         flags = {k: getattr(args, k) for k in _RANGES if getattr(args, k, None) is not None}
-        _check(flags, "flags", _FLAG_TYPES)
+        _check(flags, "flags")
         return args.handler(args)
     except CurationRequired as exc:
         log.error("%s", exc)

@@ -110,7 +110,7 @@ class PipelineConfig:
 
     def to_json(self) -> str:
         values = dataclasses.asdict(self)
-        if self.model:  # a pretrained model was not trained
+        if self.model is not None:  # a pretrained model was not trained
             del values["train"]
         return json.dumps(values, indent=2, sort_keys=True) + "\n"
 
@@ -124,30 +124,27 @@ _TYPES = dict(
 )
 _NULLABLE = {"query", "base_stopwords", "model"}
 _TYPE_NAMES = {list: "list of strings", dict: "object of strings"}
-# the values their stages accept, checked before anything is loaded; top_k,
-# the stopwords subcommand's candidate count, is a flag and no config key
+# the values their stages accept, checked before anything is loaded
 _RANGES = dict(
     top_n=(lambda v: v >= 1, ">= 1"),
     top_percent=(lambda v: 0 < v <= 100, "in (0, 100]"),
     cluster_threshold=(lambda v: v > 0, "> 0"),
-    top_k=(lambda v: v >= 1, ">= 1"),
     **TRAIN_RANGES,
 )
-_FLAG_TYPES = {**_TYPES, "top_k": int}
 
 
-def _check(values: dict[str, Any], source: str, types: dict[str, type] = _TYPES) -> None:
-    """Raise ValueError naming ``source`` for a key not in ``types``, a
+def _check(values: dict[str, Any], source: str) -> None:
+    """Raise ValueError naming ``source`` for a key not in ``_TYPES``, a
     mistyped value or a value out of its range.  A float key takes any
     number, a list holds strings, a dict maps to strings, and no key takes a
     bool."""
-    unknown = values.keys() - types.keys()
+    unknown = values.keys() - _TYPES.keys()
     if unknown:
         raise ValueError(f"{source}: unknown config key(s): {', '.join(sorted(unknown))}")
     for key, value in values.items():
         if value is None and key in _NULLABLE:
             continue
-        expected = types[key]
+        expected = _TYPES[key]
         allowed = (int, float) if expected is float else expected
         ok = isinstance(value, allowed) and not isinstance(value, bool)
         if ok and expected in (list, dict):
@@ -157,22 +154,6 @@ def _check(values: dict[str, Any], source: str, types: dict[str, type] = _TYPES)
             raise ValueError(f"{source}: {key!r} must be of type {name}, got {value!r}")
         if key in _RANGES and not _RANGES[key][0](value):
             raise ValueError(f"{source}: {key!r} must be {_RANGES[key][1]}, got {value!r}")
-
-
-def _train_config(values: dict[str, Any], env_seed: str | None) -> TrainConfig:
-    """The TrainConfig for checked ``values`` (defaults fill the rest).
-
-    TRENDLENS_SEED (``env_seed``) supplies the seed when ``values`` has
-    none; a bad one fails naming the variable.
-    """
-    values = dict(values)
-    if "seed" not in values and env_seed is not None:
-        try:
-            values["seed"] = int(env_seed)
-        except ValueError:
-            raise ValueError(f"TRENDLENS_SEED must be an integer, got {env_seed!r}") from None
-        _check({"seed": values["seed"]}, "TRENDLENS_SEED")
-    return TrainConfig(**values)
 
 
 def _unused_training(keys: Iterable[str]) -> None:
@@ -186,7 +167,7 @@ def _unused_training(keys: Iterable[str]) -> None:
 
 def _stopwords(base: str | None, extras: Iterable[str]) -> StopwordList:
     """The stopwords of the ``base`` list file (the bundled list when None) and the curated ``extras``."""
-    base_list = load_stopword_list(base) if base else load_base_stopwords()
+    base_list = load_base_stopwords() if base is None else load_stopword_list(base)
     return StopwordList.union(base_list, *(load_stopword_list(p) for p in extras))
 
 
@@ -205,11 +186,9 @@ def _prep_streams(
     return (filter_stopwords(TokenStream(d.id, tuple(tokenize(d.abstract))), stop) for d in documents)
 
 
-def _candidates(
-    streams: list[TokenStream], model: EmbeddingModel, path: str | Path, top_k: int, top_n: int
-) -> None:
+def _candidates(streams: list[TokenStream], model: EmbeddingModel, path: str | Path, top_n: int) -> None:
     """Rank, save and count the stopword candidates; private as :func:`_prep_streams` is."""
-    candidates = generate_stopword_candidates(streams, ReferenceEmbedder(model), top_k, top_n)
+    candidates = generate_stopword_candidates(streams, ReferenceEmbedder(model), DEFAULT_TOP_K, top_n)
     save_candidates(candidates, path)
     log.info("wrote %d candidates to %s", len(candidates), path)
 
@@ -227,22 +206,17 @@ def _extract(streams: Iterable[TokenStream], embedder: Embedder, top_n: int) -> 
         log.warning("%d document(s) had no scoreable keywords", skipped)
 
 
-def resolve_config(
-    config_path: str | Path | None,
-    overrides: dict[str, Any] | None = None,
-    env_seed: str | None = None,
-) -> PipelineConfig:
+def resolve_config(config_path: str | Path | None, overrides: dict[str, Any] | None = None) -> PipelineConfig:
     """Merge defaults, a flat JSON config file, and CLI overrides.
 
-    Precedence: overrides (flags) > config file > TRENDLENS_SEED (for the
-    seed only, and unread when ``model`` is set) > the defaults of
-    PipelineConfig and TrainConfig.  An override of None is unset.  Relative input paths in the config file
+    Precedence: overrides (flags) > config file > the defaults of
+    PipelineConfig and TrainConfig.  An override of None is unset; any
+    other value, an empty string too, is set.  Relative input paths in the config file
     resolve against the config file's directory; the output directory and
     override paths resolve against the working directory.  An unknown key,
     a mistyped value, or a value out of range fails naming its key and
-    source: the config file, ``flags`` for the overrides, or
-    TRENDLENS_SEED.  A config file that is not valid JSON fails naming
-    ``path:line``.
+    source: the config file, or ``flags`` for the overrides.  A config
+    file that is not valid JSON fails naming ``path:line``.
     """
     values: dict[str, Any] = {}
     if config_path is not None:
@@ -261,7 +235,7 @@ def resolve_config(
         # anchored to the config file so a config directory is self-contained
         base_dir = config_path.parent
         for key in ("corpus", "base_stopwords", "model"):
-            if values.get(key):
+            if values.get(key) is not None:
                 values[key] = str(base_dir / values[key])
         if "extra_stopwords" in values:
             values["extra_stopwords"] = [str(base_dir / p) for p in values["extra_stopwords"]]
@@ -269,13 +243,12 @@ def resolve_config(
     flags = {k: v for k, v in (overrides or {}).items() if v is not None or k not in _TYPES}
     _check(flags, "flags")
     values.update(flags)
-    if values.get("model"):
+    if values.get("model") is not None:
         _unused_training(flags)
-        env_seed = None  # nothing trains, so a bad TRENDLENS_SEED cannot fail the run
     if "corpus" not in values:
         raise ValueError(f"{config_path or 'flags'}: missing the 'corpus' path")
     train_values = {key: values.pop(key) for key in _TRAIN_TYPES if key in values}
-    return PipelineConfig(**values, train=_train_config(train_values, env_seed))
+    return PipelineConfig(**values, train=TrainConfig(**train_values))
 
 
 def _query(documents: Iterable[PatentDocument], source: str) -> Iterator[PatentDocument]:
@@ -527,10 +500,10 @@ def analyze_extractions(
 
 def _check_input_files(config: PipelineConfig) -> None:
     referenced = [("corpus", config.corpus)]
-    if config.base_stopwords:
+    if config.base_stopwords is not None:
         referenced.append(("base_stopwords", config.base_stopwords))
     referenced.extend(("extra_stopwords", path) for path in config.extra_stopwords)
-    if config.model:
+    if config.model is not None:
         referenced.append(("model", config.model))
     missing = [f"{key}: {path}" for key, path in referenced if not Path(path).is_file()]
     if missing:
@@ -559,13 +532,13 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
 
     corpus = stage("load", load_corpus, config.corpus)
     log.info("loaded %d documents across %d industries", len(corpus), len(corpus.industries))
-    if config.query:
+    if config.query is not None:
         corpus = stage("query", lambda docs: Corpus(tuple(_query(docs, config.query))), corpus)
 
     streams = stage(
         "stopwords", lambda: _interned(_prep_streams(corpus, config.base_stopwords, config.extra_stopwords))
     )
-    if config.model:
+    if config.model is not None:
         words = _lookups((t for s in streams for t in s.tokens), corpus, config.anchors)
         model = stage("train", load_model, config.model, words)
     else:
@@ -573,10 +546,10 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
     if not config.extra_stopwords:
         # with no curated lists, streams hold the base-filtered tokens
         path = out_dir / "stopword_candidates.csv"
-        stage("candidates", _candidates, streams, model, path, DEFAULT_TOP_K, config.top_n)
+        stage("candidates", _candidates, streams, model, path, config.top_n)
         raise CurationRequired(path)
 
-    if config.model:
+    if config.model is not None:
         log.info("model loaded: %d words (%d kept for this run), %d dimensions",
                  model.file_words, len(model.vocab), model.dim)
     else:

@@ -1,7 +1,6 @@
 import argparse
 import csv
 import dataclasses
-import inspect
 import json
 import os
 import re
@@ -18,7 +17,6 @@ from trendlens.embedding import MODES, TrainConfig, load_model
 from trendlens.keywords import save_document_vectors
 from trendlens.pipeline import PipelineConfig, resolve_config
 from trendlens.textprep import tokenize
-from trendlens.trends import generate_stopword_candidates
 
 FIXTURE = Path("src/trendlens/data/fixture").resolve()
 
@@ -65,6 +63,8 @@ class TestExitCodes:
             ["pipeline", "--corpus", "c.csv"],
         ):
             assert main([*argv, "--format", "csv"]) == EXIT_USAGE, argv[0]
+        # the candidate count is the constant pipeline keeps, so stopwords takes no --top-k
+        assert main(["stopwords", "--input", "c.jsonl", "--out", "s.csv", "--top-k", "5"]) == EXIT_USAGE
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -336,7 +336,7 @@ class TestTrainSubcommand:
         assert header[0] == "trendlens-w2v"
         assert header[3] == "12" and header[4] == "7"
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
+    def test_seed_env_is_not_read(self, tmp_path, monkeypatch):
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, n=8)
         monkeypatch.setenv("TRENDLENS_SEED", "99")
@@ -347,19 +347,19 @@ class TestTrainSubcommand:
             )
             == EXIT_OK
         )
-        assert model.read_text().splitlines()[0].split()[4] == "99"
+        assert model.read_text().splitlines()[0].split()[4] == str(TrainConfig.seed)
 
-    def test_negative_seed_env_is_failure_naming_variable(self, tmp_path, monkeypatch, caplog):
-        corpus = tmp_path / "c.jsonl"
+    def test_negative_seed_env_is_not_read(self, tmp_path, monkeypatch):
+        corpus, stops = tmp_path / "c.jsonl", tmp_path / "stops.txt"
         write_corpus(corpus, n=8)
+        stops.write_text("method\n")
         monkeypatch.setenv("TRENDLENS_SEED", "-3")
         out = tmp_path / "out"
-        for argv in (["train", "--input", str(corpus), "--out", str(out)],
-                     ["pipeline", "--corpus", str(corpus), "--out-dir", str(out)]):
-            caplog.clear()
-            assert main([*argv, "--dim", "4", "--epochs", "0", "--min-count", "1"]) == EXIT_FAILURE
-            assert "TRENDLENS_SEED: 'seed' must be >= 0, got -3" in caplog.text
-            assert not out.exists()
+        for argv in (["train", "--input", str(corpus), "--out", str(out / "m.w2v")],
+                     ["pipeline", "--corpus", str(corpus), "--extra-stopwords", str(stops),
+                      "--top-percent", "100", "--out-dir", str(out)]):
+            out.mkdir(exist_ok=True)
+            assert main([*argv, "--dim", "4", "--epochs", "0", "--min-count", "1"]) == EXIT_OK, argv[0]
 
     def test_tokens_file_mentioning_abstract_is_read_as_tokens(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -780,8 +780,6 @@ class TestAnalysisFlagRanges:
             ("pipeline", ["--top-percent", "-5"], "'top_percent' must be in (0, 100], got -5.0"),
             ("analyze", ["--cluster-threshold", "-1"], "'cluster_threshold' must be > 0, got -1.0"),
             ("pipeline", ["--cluster-threshold", "0"], "'cluster_threshold' must be > 0, got 0.0"),
-            ("stopwords", ["--top-k", "0"], "'top_k' must be >= 1, got 0"),
-            ("stopwords", ["--top-k", "-1"], "'top_k' must be >= 1, got -1"),
             ("train", ["--dim", "0"], "'dim' must be >= 1, got 0"),
             ("train", ["--window", "0"], "'window' must be >= 1, got 0"),
             ("train", ["--epochs", "-1"], "'epochs' must be >= 0, got -1"),
@@ -812,10 +810,52 @@ class TestAnalysisFlagRanges:
         assert not out.exists()
 
 
+class TestEmptyStringIsSet:
+    """Only None is unset: an empty string given as a flag is a value, so it
+    fails where the value is used instead of falling back to a default."""
+
+    @pytest.mark.parametrize("source", ["flag", "empty file", "blank file"])
+    def test_empty_query_fails_in_query_and_pipeline(self, tmp_path, caplog, source):
+        corpus, query_file = tmp_path / "c.jsonl", tmp_path / "q.txt"
+        write_corpus(corpus, n=8)
+        query_file.write_text({"flag": "", "empty file": "", "blank file": "  \n\n"}[source])
+        query = ["--query", ""] if source == "flag" else ["--query-file", str(query_file)]
+        out = tmp_path / "q.jsonl"
+        assert main(["query", "--input", str(corpus), *query, "--out", str(out)]) == EXIT_FAILURE
+        assert "empty query (at offset 0)" in caplog.text
+        assert not out.exists()
+        caplog.clear()
+        argv = ["pipeline", "--corpus", str(corpus), *query, "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_FAILURE
+        assert "stage 'query' failed: empty query (at offset 0)" in caplog.text
+
+    @pytest.mark.parametrize("flag, key", [("--model", "model"), ("--base-stopwords", "base_stopwords")])
+    def test_empty_pipeline_path_is_a_missing_file(self, tmp_path, caplog, flag, key):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, n=8)
+        out_dir = tmp_path / "out"
+        assert main(["pipeline", "--corpus", str(corpus), flag, "", "--out-dir", str(out_dir)]) == EXIT_FAILURE
+        assert f"stage 'config' failed: missing input file(s): {key}: \n" in caplog.text
+        assert not out_dir.exists()
+
+    def test_empty_stopwords_model_takes_no_training_flags(self, tmp_path, caplog):
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "s.csv"
+        write_corpus(corpus, n=8)
+        assert main(["stopwords", "--input", str(corpus), "--model", "", "--dim", "8", "--out", str(out)]) == EXIT_FAILURE
+        assert "flags: training key(s) unused with a pretrained model: dim" in caplog.text
+        assert not out.exists()
+
+    def test_empty_ingest_stopword_list_is_unused_without_tokens_out(self, tmp_path, caplog):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, n=8)
+        assert main(["ingest", "--input", str(corpus), "--base-stopwords", ""]) == EXIT_FAILURE
+        assert "flags: stopword lists are unused without --tokens-out" in caplog.text
+
+
 class TestPretrainedModelTakesNoTrainingFlags:
     """A run with a pretrained model trains nothing, so a training flag next
     to it fails before any input is opened; the config file may still hold
-    training keys, and TRENDLENS_SEED may be set."""
+    training keys."""
 
     UNUSED = "flags: training key(s) unused with a pretrained model: "
 
@@ -847,9 +887,7 @@ class TestPretrainedModelTakesNoTrainingFlags:
         with pytest.raises(ValueError, match=re.escape(self.UNUSED + "dim")):
             resolve_config(None, {"corpus": "c.jsonl", "model": "m.w2v", "dim": 4})
 
-    @pytest.mark.parametrize("env_seed", ["11", "abc", "-3"])
-    def test_config_training_keys_and_seed_env_stay_allowed(self, tmp_path, monkeypatch, env_seed):
-        monkeypatch.setenv("TRENDLENS_SEED", env_seed)
+    def test_config_training_keys_stay_allowed(self, tmp_path):
         corpus, model, stops = tmp_path / "c.jsonl", tmp_path / "m.w2v", tmp_path / "stops.txt"
         write_corpus(corpus, n=8)
         stops.write_text("method\nsystem\n")
@@ -871,14 +909,12 @@ class TestPretrainedModelTakesNoTrainingFlags:
 
 
 def test_flag_defaults_are_the_owning_defaults():
-    """Each analysis flag defaults to PipelineConfig's value, and --top-k to
-    generate_stopword_candidates'; pipeline leaves them unset (None) so that
-    resolve_config supplies the same values."""
+    """Each analysis flag defaults to PipelineConfig's value; pipeline
+    leaves them unset (None) so that resolve_config supplies the same values."""
     owning = {
         "top_n": PipelineConfig.top_n,
         "top_percent": PipelineConfig.top_percent,
         "cluster_threshold": PipelineConfig.cluster_threshold,
-        "top_k": inspect.signature(generate_stopword_candidates).parameters["top_k"].default,
     }
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -890,7 +926,7 @@ def test_flag_defaults_are_the_owning_defaults():
                 expected = None if command == "pipeline" else owning[action.dest]
                 assert action.default == expected, (command, action.dest)
     assert found == {
-        ("stopwords", "top_k"), ("stopwords", "top_n"), ("extract", "top_n"),
+        ("stopwords", "top_n"), ("extract", "top_n"),
         ("analyze", "top_percent"), ("analyze", "cluster_threshold"),
         ("pipeline", "top_n"), ("pipeline", "top_percent"), ("pipeline", "cluster_threshold"),
     }

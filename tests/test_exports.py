@@ -72,6 +72,24 @@ def test_no_module_calls_lapack():
     assert not found, found
 
 
+def test_no_module_reads_the_environment():
+    """A run's outputs depend only on argv, the config file and the input
+    files: no module reads ``os.environ``, ``os.environb``, ``os.getenv`` or
+    ``os.getenvb``, as an attribute or as a name imported from ``os``."""
+    banned = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for source in sorted(Path(trendlens.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr} & banned
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names} & banned
+            else:
+                continue
+            found += [f"{source.name}:{node.lineno}: {name}" for name in sorted(names)]
+    assert not found, found
+
+
 def test_only_embedding_reads_or_writes_labelled_rows():
     """``embedding`` owns the labelled-vector row format of ``.w2v`` models
     and docvec files: no other module names its row reader or writer, its

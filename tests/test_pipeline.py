@@ -442,17 +442,11 @@ class TestCurationGate:
 
 
 class TestResolveConfig:
-    def test_env_seed_fallback(self, tmp_path):
-        config_path = tmp_path / "c.json"
-        config_path.write_text(json.dumps({"corpus": "x.jsonl"}))
-        config = resolve_config(config_path, {}, env_seed="123")
-        assert config.train.seed == 123
-
-    def test_flag_beats_config_beats_env(self, tmp_path):
+    def test_flag_beats_config(self, tmp_path):
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps({"corpus": "x.jsonl", "seed": 5}))
-        assert resolve_config(config_path, {}, env_seed="9").train.seed == 5
-        assert resolve_config(config_path, {"seed": 2}, env_seed="9").train.seed == 2
+        assert resolve_config(config_path, {}).train.seed == 5
+        assert resolve_config(config_path, {"seed": 2}).train.seed == 2
 
     def test_relative_paths_anchor_to_config_dir(self, tmp_path):
         config_path = tmp_path / "c.json"
@@ -472,6 +466,30 @@ class TestResolveConfig:
         config_path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{config_path}{line}: invalid JSON: {error}")):
             resolve_config(config_path, {})
+
+    def test_empty_string_is_set(self, tmp_path):
+        # only None is unset: an empty query or path is kept, and fails where it is used
+        corpus = (FIXTURE / "corpus.jsonl").resolve()
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({"corpus": str(corpus), "query": ""}))
+        config = resolve_config(config_path, {"out_dir": str(tmp_path / "o")})
+        assert config.query == ""
+        with pytest.raises(PipelineStageError, match=re.escape("stage 'query' failed: empty query (at offset 0)")):
+            run_pipeline(config)
+        config_path.write_text(json.dumps({"corpus": str(corpus), "base_stopwords": ""}))
+        config = resolve_config(config_path, {"out_dir": str(tmp_path / "o2")})
+        assert config.base_stopwords == str(tmp_path)  # anchored to the config file's directory
+        with pytest.raises(PipelineStageError, match="stage 'config'") as err:
+            run_pipeline(config)
+        assert str(err.value.__cause__) == f"missing input file(s): base_stopwords: {tmp_path}"
+        config = resolve_config(None, {"corpus": str(corpus), "model": "", "out_dir": str(tmp_path / "o3")})
+        assert "train" not in json.loads(config.to_json())
+        with pytest.raises(PipelineStageError, match="stage 'config'") as err:
+            run_pipeline(config)
+        assert str(err.value.__cause__) == "missing input file(s): model: "
+        assert not (tmp_path / "o2").exists() and not (tmp_path / "o3").exists()
+        with pytest.raises(ValueError, match=re.escape("training key(s) unused with a pretrained model: dim")):
+            resolve_config(None, {"corpus": str(corpus), "model": "", "dim": 4})
 
     def test_missing_corpus_key_rejected(self):
         with pytest.raises(ValueError, match="corpus"):

@@ -2,7 +2,7 @@
 
 Hypothesis draws a small corpus over a fixed lexicon, in JSONL or CSV, and
 a value (or the default) for every config key: the training keys in both
-modes, the analysis cut-offs, a query, anchors, stopword lists and a
+modes, the analysis cut-offs, a query (the empty one too), anchors, stopword lists and a
 pretrained model.  ``pipeline --config`` then runs it once, and the staged
 chain (``query``, ``ingest``, ``train``, ``extract``, ``analyze``, ``plot``,
 or ``stopwords`` when no curated list halts the run) runs it again.  Either
@@ -61,7 +61,8 @@ _word_lists = st.lists(st.sampled_from(LEXICON), min_size=1, max_size=4, unique=
 @st.composite
 def _queries(draw):
     a, b, c = (draw(st.sampled_from(LEXICON[:10])) for _ in range(3))
-    return draw(st.sampled_from([f"'{a}'", f"{a} OR {b}", f"{a} AND {b}", f"{a[:3]}*", f"({a} OR {b}) AND {c}"]))
+    # the empty query is set, not unset, so both runs fail on it alike
+    return draw(st.sampled_from(["", f"'{a}'", f"{a} OR {b}", f"{a} AND {b}", f"{a[:3]}*", f"({a} OR {b}) AND {c}"]))
 
 
 def _maybe(strategy):
