@@ -45,7 +45,6 @@ from .textprep import (
     _json_lines,
     _json_lines_out,
     _stream_record,
-    _text_lines,
     _token_streams,
     filter_stopwords,
     load_stopword_list,
@@ -93,15 +92,6 @@ def _add_train_flags(parser):
 def _flag_train_config(args) -> TrainConfig:
     """The TrainConfig for the training flags given on the command line."""
     return TrainConfig(**{k: getattr(args, k) for k in _TRAIN_TYPES if getattr(args, k) is not None})
-
-
-def _read_query(args) -> str | None:
-    if args.query is not None:
-        return args.query
-    if args.query_file is not None:
-        with open(args.query_file, "rb") as fh:  # decoded per line, so a bad byte fails naming its line
-            return "\n".join(line.rstrip("\r\n") for line in _text_lines(fh, args.query_file)).strip()
-    return None
 
 
 def _input_streams(args) -> Iterator[TokenStream]:
@@ -153,7 +143,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_query(args) -> int:
-    save_corpus(_query(_documents(args.input), _read_query(args)), args.out)
+    save_corpus(_query(_documents(args.input), args.query), args.out)
     return EXIT_OK
 
 
@@ -237,7 +227,6 @@ def cmd_pipeline(args) -> int:
     # every flag named after a config key; None (and an empty list) is unset
     overrides = {key: value for key, value in vars(args).items() if key in _TYPES}
     overrides.update(
-        query=_read_query(args),
         extra_stopwords=args.extra_stopwords or None,
         anchors=_parse_anchor_flags(args.anchor) or None,
     )
@@ -260,9 +249,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("query", help="filter a corpus with a boolean query")
     p.add_argument("--input", required=True, metavar="FILE")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--query", metavar="EXPR")
-    group.add_argument("--query-file", metavar="FILE")
+    p.add_argument("--query", required=True, metavar="EXPR")
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(handler=cmd_query)
 
@@ -310,9 +297,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pipeline", help="run every stage end to end")
     p.add_argument("--config", metavar="FILE", help="flat JSON config; flags override")
     p.add_argument("--corpus", metavar="FILE")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--query", metavar="EXPR")
-    group.add_argument("--query-file", metavar="FILE")
+    p.add_argument("--query", metavar="EXPR")
     p.add_argument("--model", metavar="FILE", help="pretrained model; skips training")
     # unset flags stay None, so the config file or PipelineConfig supplies them
     p.add_argument("--top-n", type=int)

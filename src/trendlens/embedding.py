@@ -42,7 +42,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .textprep import TokenStream, _text_lines
+from .textprep import TokenStream, _replacing, _text_lines
 
 __all__ = [
     "Vocabulary",
@@ -417,7 +417,7 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
     """Write the model's word vectors (its input matrix) as text; floats use
     shortest round-trip repr.  The output matrix is training state, which no
     reader needs, and is not stored."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write(f"{_MAGIC} {_FORMAT_VERSION} {len(model.vocab)} {model.dim} {model.seed}\n")
         _write_rows(fh, model.vocab.words, model.input_vectors)
 
@@ -528,7 +528,7 @@ def save_document_vectors(vectors: Mapping[str, np.ndarray], path: str | Path) -
         if any(ch.isspace() for ch in doc_id):
             raise ValueError(f"doc id {doc_id!r} contains whitespace; not representable")
     dim = dims.pop() if dims else 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write(f"{_DOCVEC_MAGIC} {_FORMAT_VERSION} {len(vectors)} {dim}\n")
         _write_rows(fh, vectors, vectors.values())
 

@@ -31,6 +31,7 @@ from .textprep import (
     _csv_table,
     _interned,
     _json_object,
+    _replacing,
     _text_lines,
     _write_csv,
     filter_stopwords,
@@ -212,8 +213,8 @@ def resolve_config(config_path: str | Path | None, overrides: dict[str, Any] | N
     Precedence: overrides (flags) > config file > the defaults of
     PipelineConfig and TrainConfig.  An override of None is unset; any
     other value, an empty string too, is set.  Relative input paths in the config file
-    resolve against the config file's directory; the output directory and
-    override paths resolve against the working directory.  An unknown key,
+    resolve against the config file's directory, and an empty one stays empty; the
+    output directory and override paths resolve against the working directory.  An unknown key,
     a mistyped value, or a value out of range fails naming its key and
     source: the config file, or ``flags`` for the overrides.  A config
     file that is not valid JSON fails naming ``path:line``.
@@ -232,13 +233,13 @@ def resolve_config(config_path: str | Path | None, overrides: dict[str, Any] | N
         if not isinstance(values, dict):
             raise ValueError(f"{config_path}: config must be a JSON object")
         _check(values, str(config_path))
-        # anchored to the config file so a config directory is self-contained
+        # anchored to the config file so a config directory is self-contained; an empty path stays empty
         base_dir = config_path.parent
         for key in ("corpus", "base_stopwords", "model"):
-            if values.get(key) is not None:
+            if values.get(key):
                 values[key] = str(base_dir / values[key])
         if "extra_stopwords" in values:
-            values["extra_stopwords"] = [str(base_dir / p) for p in values["extra_stopwords"]]
+            values["extra_stopwords"] = [p and str(base_dir / p) for p in values["extra_stopwords"]]
     # None means unset, but only for a key that exists: a misspelt one fails
     flags = {k: v for k, v in (overrides or {}).items() if v is not None or k not in _TYPES}
     _check(flags, "flags")
@@ -356,7 +357,8 @@ def write_report_files(report: TrendReport, out_dir: Path) -> list[Path]:
     write_frequencies_csv(report, freq_path)
     write_projection_csv(report, proj_path)
     write_anchor_csv(report, anchor_path)
-    report_path.write_text(report.to_json(), encoding="utf-8")
+    with _replacing(report_path) as fh:
+        fh.write(report.to_json())
     return [freq_path, proj_path, anchor_path, report_path, *plot_projection(proj_path, out_dir)]
 
 
@@ -522,7 +524,8 @@ def run_pipeline(config: PipelineConfig) -> TrendReport:
         raise PipelineStageError("config", exc) from exc
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.resolved").write_text(config.to_json(), encoding="utf-8")
+    with _replacing(out_dir / "config.resolved") as fh:
+        fh.write(config.to_json())
 
     def stage(name, fn, *args, **kwargs):
         try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .textprep import _replacing
 from .trends import ProjectedPoint
 
 __all__ = ["PALETTE", "render_scatter_svg", "emit_scatter_svg"]
@@ -88,4 +89,5 @@ def emit_scatter_svg(
     points: Sequence[ProjectedPoint], cluster_ids: Mapping[str, int], path: str | Path
 ) -> None:
     """Write the scatter plot for one point set to ``path``."""
-    Path(path).write_text(render_scatter_svg(points, cluster_ids), encoding="utf-8")
+    with _replacing(path) as fh:
+        fh.write(render_scatter_svg(points, cluster_ids))

@@ -1,4 +1,5 @@
-"""Tokenization and stopword filtering, and the one reader and writer of each JSONL and CSV file shape."""
+"""Tokenization and stopword filtering, the one reader and writer of each JSONL and CSV file shape,
+and :func:`_replacing`, the one writer, which opens every file trendlens writes."""
 
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trendlens import embedding
 from trendlens.cli import EXIT_CURATION, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, build_parser, main
 from trendlens.corpus import load_corpus
 from trendlens.embedding import MODES, TrainConfig, load_model
@@ -65,6 +67,9 @@ class TestExitCodes:
             assert main([*argv, "--format", "csv"]) == EXIT_USAGE, argv[0]
         # the candidate count is the constant pipeline keeps, so stopwords takes no --top-k
         assert main(["stopwords", "--input", "c.jsonl", "--out", "s.csv", "--top-k", "5"]) == EXIT_USAGE
+        # a query has one flag, --query, and one config key, "query"
+        assert main(["query", "--input", "c.jsonl", "--query-file", "q.txt", "--out", "q.jsonl"]) == EXIT_USAGE
+        assert main(["pipeline", "--corpus", "c.jsonl", "--query-file", "q.txt"]) == EXIT_USAGE
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -190,7 +195,13 @@ class TestIngest:
 class TestOutputsRenamedIntoPlace:
     """A regular or missing output is written beside it and renamed over it; anything else is written in place."""
 
-    def test_dev_null_is_written_through(self, tmp_path, monkeypatch):
+    TRAIN = ["--dim", "4", "--epochs", "0", "--min-count", "1"]  # a quick model of the 6-document corpus
+
+    @pytest.mark.parametrize("command, flags", [
+        ("ingest", ["--out", "/dev/null", "--tokens-out", "/dev/null"]),
+        ("train", ["--out", "/dev/null", *TRAIN]),
+    ])
+    def test_dev_null_is_written_through(self, tmp_path, monkeypatch, command, flags):
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus)
         before = os.stat("/dev/null")
@@ -201,23 +212,40 @@ class TestOutputsRenamedIntoPlace:
             replace(src, dst)
 
         monkeypatch.setattr(os, "replace", guarded)
-        assert main(["ingest", "--input", str(corpus), "--out", "/dev/null", "--tokens-out", "/dev/null"]) == EXIT_OK
+        assert main([command, "--input", str(corpus), *flags]) == EXIT_OK
         after = os.stat("/dev/null")
         assert stat.S_ISCHR(after.st_mode) and (after.st_ino, after.st_rdev) == (before.st_ino, before.st_rdev)
         assert not [name for name in os.listdir("/dev") if name.startswith(".null.")]
 
-    def test_a_symlinked_output_updates_its_target(self, tmp_path):
-        corpus, plain, target = tmp_path / "c.jsonl", tmp_path / "plain.jsonl", tmp_path / "real.jsonl"
+    @pytest.mark.parametrize("command, flags", [("ingest", []), ("train", TRAIN)])
+    def test_a_symlinked_output_updates_its_target(self, tmp_path, command, flags):
+        corpus, plain, target = tmp_path / "c.jsonl", tmp_path / "plain.out", tmp_path / "real.out"
         write_corpus(corpus)
         (tmp_path / "links").mkdir()
-        link = tmp_path / "links" / "norm.jsonl"
+        link = tmp_path / "links" / "link.out"
         target.write_text("old\n")
         link.symlink_to(target)
-        assert main(["ingest", "--input", str(corpus), "--out", str(plain)]) == EXIT_OK
-        assert main(["ingest", "--input", str(corpus), "--out", str(link)]) == EXIT_OK
+        assert main([command, "--input", str(corpus), "--out", str(plain), *flags]) == EXIT_OK
+        assert main([command, "--input", str(corpus), "--out", str(link), *flags]) == EXIT_OK
         assert link.is_symlink() and link.resolve() == target
         assert target.read_bytes() == plain.read_bytes()
-        assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.jsonl", "links", "norm.jsonl", "plain.jsonl", "real.jsonl"]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.jsonl", "link.out", "links", "plain.out", "real.out"]
+
+    def test_a_model_write_failing_part_way_keeps_the_old_model(self, tmp_path, monkeypatch, caplog):
+        corpus, model = tmp_path / "c.jsonl", tmp_path / "model.w2v"
+        write_corpus(corpus)
+        model.write_text("old\n")
+        write_rows = embedding._write_rows
+
+        def one_row_then_fail(fh, labels, matrix):
+            write_rows(fh, list(labels)[:1], matrix[:1])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(embedding, "_write_rows", one_row_then_fail)
+        assert main(["train", "--input", str(corpus), "--out", str(model), *self.TRAIN]) == EXIT_FAILURE
+        assert os.strerror(errno.ENOSPC) in caplog.text
+        assert model.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "model.w2v"]  # no .model.w2v.*.tmp
 
     def test_an_output_keeps_its_mode(self, tmp_path):
         corpus, out = tmp_path / "c.jsonl", tmp_path / "norm.jsonl"
@@ -248,40 +276,6 @@ class TestQuerySubcommand:
         )
         kept = [json.loads(l)["id"] for l in out.read_text().splitlines()]
         assert kept == ["P0", "P3"]
-
-    def test_query_file_flag(self, tmp_path):
-        corpus = tmp_path / "c.jsonl"
-        write_corpus(corpus)
-        qfile = tmp_path / "q.txt"
-        qfile.write_text("alpha0 OR alpha1\n")
-        out = tmp_path / "kept.jsonl"
-        assert main(["query", "--input", str(corpus), "--query-file", str(qfile), "--out", str(out)]) == EXIT_OK
-        assert len(out.read_text().splitlines()) == 4
-
-    @pytest.mark.parametrize("command", ["query", "pipeline"])
-    def test_query_file_bad_byte_names_line(self, tmp_path, caplog, command):
-        corpus = tmp_path / "c.jsonl"
-        write_corpus(corpus)
-        qfile = tmp_path / "q.txt"
-        qfile.write_bytes(b"alpha0\r\nOR \xffalpha1\n")
-        out = tmp_path / "out"
-        argv = ["--input", str(corpus), "--out", str(out)] if command == "query" else [
-            "--corpus", str(corpus), "--out-dir", str(out), "--epochs", "0"]
-        assert main([command, "--query-file", str(qfile), *argv]) == EXIT_FAILURE
-        assert f"{qfile}:2: 'utf-8' codec can't decode byte 0xff in position 3" in caplog.text
-        assert not out.exists()
-
-    def test_query_file_keeps_its_text(self, tmp_path):
-        # line ends read as "\n", the whole text stripped, as a text-mode read gives it
-        corpus = tmp_path / "c.jsonl"
-        write_corpus(corpus)
-        qfile = tmp_path / "q.txt"
-        qfile.write_bytes(b" alpha0\r\nOR\ralpha1 \r\n\n")
-        out_dir = tmp_path / "run"
-        argv = ["pipeline", "--corpus", str(corpus), "--query-file", str(qfile), "--out-dir", str(out_dir),
-                "--epochs", "0", "--min-count", "1"]
-        assert main(argv) == EXIT_CURATION
-        assert json.loads((out_dir / "config.resolved").read_text())["query"] == "alpha0\nOR\nalpha1"
 
     def test_bad_query_is_failure(self, tmp_path, caplog):
         corpus = tmp_path / "c.jsonl"
@@ -814,18 +808,15 @@ class TestEmptyStringIsSet:
     """Only None is unset: an empty string given as a flag is a value, so it
     fails where the value is used instead of falling back to a default."""
 
-    @pytest.mark.parametrize("source", ["flag", "empty file", "blank file"])
-    def test_empty_query_fails_in_query_and_pipeline(self, tmp_path, caplog, source):
-        corpus, query_file = tmp_path / "c.jsonl", tmp_path / "q.txt"
+    def test_empty_query_fails_in_query_and_pipeline(self, tmp_path, caplog):
+        corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, n=8)
-        query_file.write_text({"flag": "", "empty file": "", "blank file": "  \n\n"}[source])
-        query = ["--query", ""] if source == "flag" else ["--query-file", str(query_file)]
         out = tmp_path / "q.jsonl"
-        assert main(["query", "--input", str(corpus), *query, "--out", str(out)]) == EXIT_FAILURE
+        assert main(["query", "--input", str(corpus), "--query", "", "--out", str(out)]) == EXIT_FAILURE
         assert "empty query (at offset 0)" in caplog.text
         assert not out.exists()
         caplog.clear()
-        argv = ["pipeline", "--corpus", str(corpus), *query, "--out-dir", str(tmp_path / "out")]
+        argv = ["pipeline", "--corpus", str(corpus), "--query", "", "--out-dir", str(tmp_path / "out")]
         assert main(argv) == EXIT_FAILURE
         assert "stage 'query' failed: empty query (at offset 0)" in caplog.text
 

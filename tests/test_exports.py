@@ -110,3 +110,26 @@ def test_only_embedding_reads_or_writes_labelled_rows():
                 continue
             found += [f"{source.name}:{node.lineno}: {name}" for name in sorted(names & owned)]
     assert not found, found
+
+
+def test_only_textprep_opens_a_file_for_writing():
+    """Every output is written through ``textprep._replacing``, which replaces
+    a file only when its write succeeds: outside ``textprep`` a module calls
+    the builtin ``open`` only with a literal read mode (no ``w``, ``a``, ``x``
+    or ``+``), and no ``open`` method (``Path.open``, ``os.open``, ``io.open``),
+    ``write_text`` or ``write_bytes``; ``cli`` calls ``open`` not at all."""
+    found = []
+    for source in sorted(Path(trendlens.__file__).parent.glob("*.py")):
+        if source.name == "textprep.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Attribute) and node.func.attr in ("open", "write_text", "write_bytes"):
+                found.append(f"{source.name}:{node.lineno}: {node.func.attr}")
+            elif isinstance(node.func, ast.Name) and node.func.id == "open":
+                mode = ([k.value for k in node.keywords if k.arg == "mode"] + node.args[1:2] + [ast.Constant("r")])[0]
+                literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                if not literal or set("wax+") & set(mode.value) or source.name == "cli.py":
+                    found.append(f"{source.name}:{node.lineno}: open")
+    assert not found, found

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -181,6 +184,24 @@ class TestDeterminism:
         assert (pipeline_dir / "keywords.csv").read_bytes() == keywords.read_bytes()
         for name in FINAL_OUTPUTS:
             assert (pipeline_dir / name).read_bytes() == (out_dir / name).read_bytes(), name
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Two fresh processes under different string hash seeds, each in its
+        own working directory with the same relative --out-dir, write the
+        same bytes to every output, config.resolved included."""
+        config = (FIXTURE / "config.json").resolve()
+        runs = {}
+        for seed in ("0", "12345"):
+            cwd = tmp_path / f"hash{seed}"
+            cwd.mkdir()
+            env = dict(os.environ, PYTHONPATH=str(Path("src").resolve()), PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-m", "trendlens", "pipeline", "--config", str(config),
+                                   "--out-dir", "out"], cwd=cwd, env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            runs[seed] = {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())}
+        assert sorted(runs["0"]) == sorted(["config.resolved", "keywords.csv", "model.w2v", *FINAL_OUTPUTS])
+        assert runs["0"] == runs["12345"]
 
 
 class TestPretrainedRunKeepsTheRowsItLooksUp:
@@ -478,10 +499,12 @@ class TestResolveConfig:
             run_pipeline(config)
         config_path.write_text(json.dumps({"corpus": str(corpus), "base_stopwords": ""}))
         config = resolve_config(config_path, {"out_dir": str(tmp_path / "o2")})
-        assert config.base_stopwords == str(tmp_path)  # anchored to the config file's directory
+        assert config.base_stopwords == ""  # not anchored to the config file's directory
         with pytest.raises(PipelineStageError, match="stage 'config'") as err:
             run_pipeline(config)
-        assert str(err.value.__cause__) == f"missing input file(s): base_stopwords: {tmp_path}"
+        assert str(err.value.__cause__) == "missing input file(s): base_stopwords: "
+        config_path.write_text(json.dumps({"corpus": str(corpus), "extra_stopwords": ["", "x.txt"]}))
+        assert resolve_config(config_path).extra_stopwords == ("", str(tmp_path / "x.txt"))
         config = resolve_config(None, {"corpus": str(corpus), "model": "", "out_dir": str(tmp_path / "o3")})
         assert "train" not in json.loads(config.to_json())
         with pytest.raises(PipelineStageError, match="stage 'config'") as err:
