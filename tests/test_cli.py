@@ -277,6 +277,22 @@ class TestQuerySubcommand:
         kept = [json.loads(l)["id"] for l in out.read_text().splitlines()]
         assert kept == ["P0", "P3"]
 
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_a_multi_line_query_keeps_its_text(self, tmp_path, source):
+        # a long query goes in the config's query key or in --query "$(cat q.txt)"
+        corpus, config = tmp_path / "c.jsonl", tmp_path / "config.json"
+        write_corpus(corpus)
+        query = "alpha0\nOR\nalpha1"
+        config.write_text(json.dumps({"query": query} if source == "config" else {}))
+        out_dir = tmp_path / "run"
+        argv = ["pipeline", "--config", str(config), "--corpus", str(corpus), "--out-dir", str(out_dir),
+                "--epochs", "0", "--min-count", "1", *(["--query", query] if source == "flag" else [])]
+        assert main(argv) == EXIT_CURATION
+        assert json.loads((out_dir / "config.resolved").read_text())["query"] == query
+        kept = tmp_path / "kept.jsonl"
+        assert main(["query", "--input", str(corpus), "--query", query, "--out", str(kept)]) == EXIT_OK
+        assert len(kept.read_text().splitlines()) == 4
+
     def test_bad_query_is_failure(self, tmp_path, caplog):
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus)
@@ -818,6 +834,14 @@ class TestEmptyStringIsSet:
         caplog.clear()
         argv = ["pipeline", "--corpus", str(corpus), "--query", "", "--out-dir", str(tmp_path / "out")]
         assert main(argv) == EXIT_FAILURE
+        assert "stage 'query' failed: empty query (at offset 0)" in caplog.text
+
+    def test_empty_config_query_fails_in_pipeline(self, tmp_path, caplog):
+        corpus, config = tmp_path / "c.jsonl", tmp_path / "config.json"
+        write_corpus(corpus, n=8)
+        config.write_text(json.dumps({"corpus": str(corpus), "query": ""}))
+        out_dir = tmp_path / "out"
+        assert main(["pipeline", "--config", str(config), "--out-dir", str(out_dir)]) == EXIT_FAILURE
         assert "stage 'query' failed: empty query (at offset 0)" in caplog.text
 
     @pytest.mark.parametrize("flag, key", [("--model", "model"), ("--base-stopwords", "base_stopwords")])
