@@ -2,10 +2,13 @@
 
 The model keeps two (V x D) weight matrices: ``input_vectors`` holds the
 word embeddings (the projection layer) and ``output_vectors`` holds the
-context weights feeding the output layer.  For every (center, context)
-pair the forward pass scores all vocabulary words with the dot product
-u = output_vectors @ input_vectors[center], and training minimizes the
-negative log probability of the observed context word under either
+context weights feeding the output layer.  Training keeps both in one
+(2V x D) buffer, the input rows first; a run with no step keeps only the
+input rows, and its output matrix is a read-only view of zeros.  For every
+(center, context) pair the forward pass scores all vocabulary words with
+the dot product u = output_vectors @ input_vectors[center], and training
+minimizes the negative log probability of the observed context word under
+either
 
 * ``full_softmax``: y = softmax(u), loss = -log y[context].  Exact but
   O(V) per pair, so it is gated to small vocabularies.
@@ -16,7 +19,11 @@ Training is reproducible bit for bit from the seed.  ``tests/oracle.py``
 holds the pure, finite-difference-checked statement of one SGD step, per
 pair; the training loop is a lean form of it that skips the per-pair
 objects and checks, and the oracle tests in ``tests/test_embedding.py``
-hold the two equal bit for bit in both modes.
+hold the two equal bit for bit in both modes.  A negative_sampling step
+gathers its center row and its k+1 output rows from the buffer in one
+``take`` and scatters them back in one assignment; a negative drawn twice
+in a step sums its copies' gradients in step order, as ``np.add.at`` does
+in the oracle.
 The pairs fill one int32 array and each epoch's int32 shuffle is walked in
 fixed-size chunks, so memory is 12 bytes per pair plus one chunk's worth; a
 run of zero epochs makes no pairs.  A chunk's negatives come from one
@@ -248,7 +255,9 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
     """Train a skip-gram model over tokenized streams.
 
     Input vectors start uniform in [-0.5/D, +0.5/D] from the seed, output
-    vectors start at zero.  When there is a step to train, the pairs fill
+    vectors start at zero, and both are views of one (2V, D) buffer; with
+    no step to train, the output is a read-only view of zeros and no buffer.
+    When there is a step to train, the pairs fill
     one int32 array, each stream's rows sized from its in-vocabulary token
     count.  Each epoch shuffles all pairs (seeded) and the learning rate
     decays linearly to 1e-4 of its initial value.  Each epoch's shuffle is
@@ -273,19 +282,21 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
     if n > _MAX_PAIRS:
         raise ValueError(f"{n} training pairs exceed the int32 pair index's bound of {_MAX_PAIRS}")
 
+    total_steps = config.epochs * n
+    weights = np.zeros((2 * V, D)) if total_steps else np.empty((V, D))
+    init = weights[:V]
     rng = np.random.default_rng(config.seed)
-    init = rng.random((V, D))
+    rng.random(out=init)  # the values of rng.random((V, D))
     init -= 0.5  # in place, the same elementwise steps as (random - 0.5) / D
     init /= D
     model = EmbeddingModel(
         vocab=vocab,
         input_vectors=init,
-        output_vectors=np.zeros((V, D)),
+        output_vectors=weights[V:] if total_steps else np.broadcast_to(np.float64(0.0), (V, D)),
         seed=config.seed,
         train_streams=len(streams),
         train_tokens=sum(len(s.tokens) for s in streams),
     )
-    total_steps = config.epochs * n
     if total_steps == 0:  # nothing to train on, so no pair is made
         log.info("%d training pairs, %d epochs: the model keeps its initialization", n, config.epochs)
         return model
@@ -304,14 +315,13 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
             for a in range(0, n, _CHUNK_PAIRS):
                 chunk = pairs[perm[a:a + _CHUNK_PAIRS]]
                 decay = 1.0 - np.arange(step, step + len(chunk)) / total_steps
-                lrs = (config.learning_rate * np.maximum(_LR_FLOOR_FRACTION, decay)).tolist()
-                centers, contexts = chunk.T.tolist()
+                lrs = config.learning_rate * np.maximum(_LR_FLOOR_FRACTION, decay)
+                contexts = chunk[:, 1].tolist()
                 if sampler is None:
-                    losses = _softmax_steps(model, centers, contexts, lrs)
+                    losses = _softmax_steps(model, chunk[:, 0].tolist(), contexts, lrs.tolist())
                 else:
                     negatives = sampler.draw(rng, config.negatives, contexts)
-                    rows = np.concatenate([chunk[:, 1:], negatives], axis=1)
-                    losses = _sampling_steps(model, centers, rows, lrs)
+                    losses = _sampling_steps(weights, V, chunk, negatives, lrs)
                 for i, loss in enumerate(losses):  # in step order, as the oracle checks and sums them
                     if not math.isfinite(loss):
                         raise TrainingDiverged(epoch, step + i)
@@ -324,8 +334,7 @@ def train(streams: Sequence[TokenStream], config: TrainConfig) -> EmbeddingModel
                 log.warning("epoch %d/%d: mean loss rose from %.6f to %.6f",
                             epoch + 1, config.epochs, previous, mean)
             previous = mean
-    inp, out = model.input_vectors, model.output_vectors
-    if not np.isfinite([inp.min(), inp.max(), out.min(), out.max()]).all():  # as _read_rows checks
+    if _first_non_finite(weights) is not None:  # a last update can overflow after a finite loss
         raise TrainingDiverged(config.epochs - 1, total_steps - 1)
     return model
 
@@ -358,37 +367,57 @@ def _softmax_steps(model, centers, contexts, lrs) -> list[float]:
     return losses
 
 
-def _sampling_steps(model, centers, rows, lrs) -> list[float]:
-    """One chunk's negative_sampling steps, as :func:`_softmax_steps`, with
-    each pair's context and negatives in ``rows``.  The losses are taken
-    together at the chunk's end, from each step's scores."""
-    inp, out = model.input_vectors, model.output_vectors
-    # -log sigma(u_pos), -log sigma(-u_neg)
-    signs = np.array([-1.0] + [1.0] * (rows.shape[1] - 1))
-    scores = np.empty(rows.shape)
-    ordered = np.sort(rows[:, 1:], axis=1)
-    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1).tolist()
-    for i, (center, r, repeat, lr) in enumerate(zip(centers, rows, repeats, lrs)):
-        h = inp[center]
-        w = out.take(r, axis=0)
-        u = w @ h
-        scores[i] = u
+def _sampling_steps(weights, V, chunk, negatives, lrs) -> list[float]:
+    """One chunk's negative_sampling steps, as :func:`_softmax_steps`, on
+    the ``(2V, D)`` buffer ``weights`` (input rows, then output rows), with
+    each pair's negatives in ``negatives`` and its learning rate in the
+    float64 array ``lrs``.  The losses are taken together at the chunk's
+    end, from each step's scores.
+
+    A step gathers its center row and its context's and negatives' output
+    rows into one block, takes every product from that copy, and subtracts
+    lr times the block's gradient before scattering the block back.  A
+    repeated negative sums its copies' gradients as ``np.add.at`` does in
+    the oracle: 0.0 plus each copy's gradient in order, into the last copy,
+    which every copy then holds, so the scatter writes one value per row.
+    """
+    m, k = negatives.shape
+    ix = np.concatenate([chunk, negatives], axis=1)  # the center, then the rows it scores
+    ix[:, 1:] += V
+    # each step's pairs of consecutive copies of a negative, as block rows:
+    # the stable sort keeps a row's copies in step order
+    order = np.argsort(negatives, axis=1, kind="stable")
+    steps, j = np.nonzero(np.diff(np.take_along_axis(negatives, order, axis=1), axis=1) == 0)
+    links: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for i, a, b in zip(steps.tolist(), (order[steps, j] + 2).tolist(), (order[steps, j + 1] + 2).tolist()):
+        links[i].append((a, b))
+    scores = np.empty((m, k + 1))
+    block, grad = np.empty((2, k + 2, weights.shape[1]))
+    h, w, center_grad, grads = block[0], block[1:], grad[0], grad[1:]
+    exps, ones, g = np.empty((2, k + 1)), np.ones(k + 1), np.empty(k + 1)
+    low, high, g_col = exps[0], exps[1], g[:, None]
+    for r, u, lr, link in zip(ix, scores, lrs, links):
+        weights.take(r, 0, block, "clip")  # every index is in range; "raise" would copy through a buffer
+        np.dot(w, h, out=u)
         # the sigmoid of tests/oracle.py without the masks: 1/(1+e^-u) for u >= 0, e^u/(1+e^u) below
-        e = np.exp(-np.abs(u))
-        g = np.exp(np.minimum(u, 0.0)) / (1.0 + e)
+        np.minimum(u, 0.0, out=low)
+        np.copysign(u, -1.0, out=high)  # -|u|
+        np.exp(exps, out=exps)
+        np.add(ones, high, out=high)
+        np.divide(low, high, out=g)
         g[0] -= 1.0
-        center_grad = g @ w
-        grads = g[:, None] * h
-        if not repeat:
-            out[r] = w - lr * grads
-        else:  # a repeated negative accumulates its rows' updates, in np.unique's order
-            r = r.tolist()
-            unique = sorted(set(r))
-            acc = np.zeros((len(unique), len(h)))
-            np.add.at(acc, [unique.index(row) for row in r], grads)
-            out[unique] -= lr * acc
-        h -= lr * center_grad
-    scores *= signs
+        np.dot(g, w, out=center_grad)
+        np.multiply(g_col, h, out=grads)
+        if link:
+            np.add(grads, 0.0, out=grads)  # add.at's zeroed accumulator: -0.0 becomes 0.0
+            for a, b in link:  # the running sum, in step order, into the last copy
+                grad[b] += grad[a]
+            for a, b in reversed(link):  # numpy does not say which copy a repeated index writes
+                grad[a] = grad[b]
+        np.multiply(grad, lr, out=grad)
+        np.subtract(block, grad, out=block)
+        weights[r] = block
+    scores *= np.array([-1.0] + [1.0] * k)  # -log sigma(u_pos), -log sigma(-u_neg)
     np.logaddexp(0.0, scores, out=scores)
     return (scores[:, 0] + scores[:, 1:].sum(axis=1)).tolist()
 

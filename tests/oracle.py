@@ -4,7 +4,14 @@
 loss and gradients of one (center, context) pair in either training mode.
 No shipped code calls it: ``embedding.train`` does the same arithmetic in
 its lean ``_softmax_steps`` and ``_sampling_steps`` loops, and the oracle
-tests hold the two equal bit for bit.
+tests hold the two equal bit for bit.  Here the input and output matrices
+are separate and each repeated negative's gradients are summed by
+``np.add.at`` into a zeroed row.  The trainer keeps both matrices in one
+(2V, D) buffer, input rows first; a negative_sampling step gathers its
+center row and its k+1 output rows in one ``take`` and scatters them back
+in one assignment, and it sums a repeated negative's gradients, each plus
+0.0 as that zeroed row gives, in step order into the row's last copy,
+which every copy then holds.
 """
 
 from __future__ import annotations

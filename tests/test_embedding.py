@@ -1,12 +1,17 @@
+import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trendlens import cli, embedding
-from trendlens.corpus import PatentDocument, save_corpus
+from trendlens.corpus import PatentDocument, load_corpus, save_corpus
 from trendlens.embedding import (
     EmbeddingModel,
     ModelFormatError,
@@ -24,9 +29,12 @@ from trendlens.embedding import (
     save_model,
     train,
 )
+from trendlens.pipeline import _prep_streams, resolve_config
 from trendlens.textprep import TokenStream
 
 from oracle import ContextPair, pair_loss_and_gradients, softmax_output
+
+FIXTURE = Path("src/trendlens/data/fixture")
 
 
 def stream(doc_id, text):
@@ -451,8 +459,9 @@ def assert_matches_oracle(streams, config, caplog):
     caplog.clear()
     with caplog.at_level("INFO", logger="trendlens.embedding"):
         lean, oracle = train(streams, config), oracle_train(streams, config, means)
-    np.testing.assert_array_equal(lean.input_vectors, oracle.input_vectors)
-    np.testing.assert_array_equal(lean.output_vectors, oracle.output_vectors)
+    for rows, expected in ((lean.input_vectors, oracle.input_vectors), (lean.output_vectors, oracle.output_vectors)):
+        np.testing.assert_array_equal(rows, expected)
+        assert rows.tobytes() == expected.tobytes()  # assert_array_equal takes -0.0 for 0.0
     assert [r.args[2] for r in caplog.records if r.levelname == "INFO"] == means
     return lean
 
@@ -513,6 +522,53 @@ class TestLeanLoopMatchesOracle:
                              mode=mode, negatives=negatives, seed=2)
         assert_diverges_as_oracle(oracle_streams(3, docs=4, words=6, length=10), config)
 
+    def test_signed_zeros_of_a_repeated_negative_update_as_the_oracle(self):
+        # the row drawn twice holds a -0.0 weight and the center row a -0.0
+        # entry, so both copies' gradients hold -0.0 there; the oracle's
+        # zeroed accumulator sums them to 0.0, which keeps the weight at -0.0
+        V = 4
+        model = tiny_model(V, 3, seed=2)
+        model.input_vectors[0, 1] = model.output_vectors[2, 1] = -0.0
+        weights = np.concatenate([model.input_vectors, model.output_vectors])
+        losses = embedding._sampling_steps(weights, V, np.array([[0, 1]], dtype=np.int32),
+                                           np.array([[2, 3, 2]]), np.array([0.05]))
+        loss, grads = pair_loss_and_gradients(model, "negative_sampling", ContextPair(0, 1), [2, 3, 2])
+        model.input_vectors[0] -= 0.05 * grads.center_grad
+        model.output_vectors[grads.output_rows] -= 0.05 * grads.output_grads
+        assert losses == [loss] and math.copysign(1.0, model.output_vectors[2, 1]) == -1.0
+        assert weights.tobytes() == model.input_vectors.tobytes() + model.output_vectors.tobytes()
+
+    def test_the_fixture_at_one_epoch_bit_identical(self, caplog, monkeypatch):
+        # the shipped corpus and config: 8,930 pairs over 62 words, where about
+        # one step in six draws a negative twice
+        config = resolve_config(FIXTURE / "config.json", {})
+        streams = list(_prep_streams(load_corpus(config.corpus), config.base_stopwords, config.extra_stopwords))
+        drawn, draw = [], UnigramSampler.draw
+        monkeypatch.setattr(UnigramSampler, "draw", lambda self, *args: drawn.append(draw(self, *args)) or drawn[-1])
+        lean = assert_matches_oracle(streams, dataclasses.replace(config.train, epochs=1), caplog)
+        assert lean.input_vectors.shape == (62, 32)
+        negatives = np.sort(np.concatenate(drawn), axis=1)
+        repeated = (negatives[:, 1:] == negatives[:, :-1]).any(axis=1)
+        assert len(negatives) == 8_930 and 0.15 < repeated.mean() < 0.2, repeated.mean()
+
+
+def test_fixture_model_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The fixture ``train`` writes the same model bytes on 1 and 2 OpenBLAS
+    threads; each step's products are (k+1) x D gemvs, far below the size
+    OpenBLAS splits over threads."""
+    train_config = resolve_config(FIXTURE / "config.json", {}).train
+    flags = [f"--{key.replace('_', '-')}={getattr(train_config, key)}" for key in embedding.TRAIN_RANGES]
+    models = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path("src").resolve()), OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / f"model{threads}.w2v"
+        proc = subprocess.run([sys.executable, "-m", "trendlens", "train", "--input", str(FIXTURE / "corpus.jsonl"),
+                               "--extra-stopwords", str(FIXTURE / "curated_stopwords.txt"), "--out", str(out), *flags],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        models.append(out.read_bytes())
+    assert models[0].startswith(b"trendlens-w2v 1 62 32 7\n") and models[0] == models[1]
+
 
 def test_training_memory_bounded_by_pair_array():
     """Peak memory of train(), less the two weight matrices, is at most 12
@@ -552,10 +608,13 @@ def traced_peak(fn, *args):
 
 class TestAllocatesOnlyWhatItTouches:
     def test_zero_epochs_build_no_pairs(self):
-        # the 94,000 pairs would take 734 KiB as int32; the weights are 2 x 250 KiB
+        # the 94,000 pairs would take 734 KiB as int32; the input rows take
+        # 250 KiB, and output rows would take 250 KiB more
         config = TrainConfig(dim=64, window=5, epochs=0, min_count=1, seed=1)
         model, peak = traced_peak(train, memory_streams(), config)
-        assert peak - model.input_vectors.nbytes - model.output_vectors.nbytes <= 128 << 10
+        assert peak - model.input_vectors.nbytes <= 128 << 10
+        assert not model.output_vectors.flags.writeable and not model.output_vectors.any()
+        assert model.output_vectors.shape == model.input_vectors.shape
 
     def test_zero_epochs_log_the_pair_count(self, caplog):
         with caplog.at_level("INFO", logger="trendlens.embedding"):
